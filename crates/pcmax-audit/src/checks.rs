@@ -19,6 +19,7 @@ use pcmax_serve::WarmTier;
 use pcmax_store::{StoreBudget, StoreConfig, StoreError, TieredStore};
 use std::collections::HashMap;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The three DP engines that must agree cell-for-cell.
 pub const ENGINES: [DpEngine; 4] = [
@@ -272,12 +273,15 @@ pub fn check_small_oracle(inst: &Instance, ctx: &mut CheckCtx<'_>) {
     }
 }
 
-/// A scratch directory unique to this process, check, and case (the
-/// audit may run concurrently with other test binaries).
+/// A scratch directory unique to this process, call, check, and case:
+/// the audit may run concurrently with other test binaries, and
+/// concurrent audits in one process visit the same family and seed.
 fn scratch_dir(ctx: &CheckCtx<'_>, tag: &str) -> PathBuf {
+    static CALLS: AtomicU64 = AtomicU64::new(0);
     let dir = std::env::temp_dir().join(format!(
-        "pcmax-audit-{}-{tag}-{}-{}",
+        "pcmax-audit-{}-{}-{tag}-{}-{}",
         std::process::id(),
+        CALLS.fetch_add(1, Ordering::Relaxed),
         ctx.family,
         ctx.seed
     ));

@@ -18,10 +18,27 @@ pub fn for_each_config<F>(bound: &[usize], sizes: &[u64], strides: &[usize], cap
 where
     F: FnMut(&[usize], u64, usize),
 {
+    let mut s = vec![0usize; bound.len()];
+    for_each_config_in(bound, sizes, strides, cap, &mut s, f);
+}
+
+/// [`for_each_config`] enumerating into a caller-owned buffer `s`
+/// (`bound.len()` zeros, left all zeros on return), so a loop over many
+/// cells allocates nothing per cell.
+pub(crate) fn for_each_config_in<F>(
+    bound: &[usize],
+    sizes: &[u64],
+    strides: &[usize],
+    cap: u64,
+    s: &mut [usize],
+    f: &mut F,
+) where
+    F: FnMut(&[usize], u64, usize),
+{
     debug_assert_eq!(bound.len(), sizes.len());
     debug_assert_eq!(bound.len(), strides.len());
-    let mut s = vec![0usize; bound.len()];
-    recurse(0, bound, sizes, strides, cap, 0, 0, &mut s, f);
+    debug_assert!(s.len() == bound.len() && s.iter().all(|&x| x == 0));
+    recurse(0, bound, sizes, strides, cap, 0, 0, s, f);
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -33,7 +50,7 @@ fn recurse<F>(
     cap: u64,
     weight: u64,
     offset: usize,
-    s: &mut Vec<usize>,
+    s: &mut [usize],
     f: &mut F,
 ) where
     F: FnMut(&[usize], u64, usize),

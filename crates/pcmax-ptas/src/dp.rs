@@ -1,4 +1,4 @@
-//! The higher-dimensional dynamic program `OPT(N)` and its three engines.
+//! The higher-dimensional dynamic program `OPT(N)` and its engines.
 //!
 //! `OPT(v)` is the minimum number of machines that schedule the job
 //! multiset described by `v` (vᵢ jobs of rounded size `sizeᵢ`) with every
@@ -9,28 +9,41 @@
 //! OPT(v) = 1 + min { OPT(v − s) : s ∈ C(v) }   (s ≠ 0, s ≤ v, Σ sᵢ·sizeᵢ ≤ cap)
 //! ```
 //!
-//! Three engines fill the same table and must agree cell-for-cell:
+//! Every engine fills the same table and must agree cell-for-cell; all
+//! dense ones evaluate cells through one `compute_cell`:
 //!
 //! * [`DpEngine::Sequential`] — a plain row-major sweep (row-major order
 //!   is a topological order of the recurrence);
 //! * [`DpEngine::AntiDiagonal`] — the Ghalami–Grosu parallel sweep
 //!   (Algorithm 2): levels `ℓ = Σ vᵢ` in sequence, all cells of a level
 //!   through rayon;
-//! * [`DpEngine::Blocked`] — the paper's data-partitioning scheme on the
-//!   CPU: the table is cut by the Algorithm-4 divisor, stored block-major,
-//!   and swept by *block-levels* (blocks of one level in parallel, cells
-//!   inside a block by in-block anti-diagonals). This is the same
-//!   traversal the simulated GPU executes, so its cell values double as
-//!   the reference output for `pcmax-gpu`.
+//! * the *block sweep* — the paper's data-partitioning scheme on the
+//!   CPU (Alg. 4/5): the table is cut by the Algorithm-4 divisor, stored
+//!   block-major, and swept by *block-levels* (blocks of one level in
+//!   parallel, cells inside a block by in-block anti-diagonals). One loop
+//!   serves two block sources: [`DpEngine::Blocked`] keeps committed
+//!   blocks in a RAM vector, while [`DpProblem::solve_paged`] commits them
+//!   as pages of a tiered store and faults dependency blocks back in, so
+//!   only the frontier needs RAM. [`DpProblem::solve_paged_overlapped`]
+//!   is the same loop with a stream hook that writes level ℓ−1 behind
+//!   and prefetches level ℓ+1's dependencies while level ℓ computes (the
+//!   paper's 4-stream round-robin). The blocked traversal is the one the
+//!   simulated GPU executes, so its cell values double as the reference
+//!   output for `pcmax-gpu`;
+//! * the sparse engine ([`DpProblem::solve_sparse`], from `pcmax-sparse`)
+//!   — dominance-pruned layers of reachable cells instead of the full
+//!   table.
 
-use crate::config::for_each_config;
+use crate::config::for_each_config_in;
 use crate::rounding::Rounding;
 use ndtable::partition::DivisorRule;
 use ndtable::{BlockLevels, BlockedLayout, Divisor, LevelBuckets, PagedTable, Shape};
 use pcmax_store::{CellWidth, Page, StoreError, TieredStore};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::sync::Arc;
 
 /// Sentinel for "no feasible packing" (some single job exceeds `cap`).
@@ -106,14 +119,80 @@ pub enum DpEngine {
     },
 }
 
-/// Knobs of the paged (store-backed) sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PagedOptions {
-    /// Run the background prefetch/write-behind streams alongside each
-    /// block-level's compute (the paper's Alg. 4 stream round-robin).
-    /// Off by default: the synchronous sweep is the differential
-    /// baseline the overlapped one must match bit-for-bit.
-    pub overlap: bool,
+/// Where the block sweep keeps committed blocks.
+enum Blocks {
+    /// The whole table in RAM, block-major.
+    Ram(Vec<u32>),
+    /// Pages of a store-backed table; `overlap` runs [`overlap_streams`]
+    /// alongside each block-level.
+    Paged { table: PagedTable, overlap: bool },
+}
+
+impl Blocks {
+    /// The committed cell at blocked offset `off`. `pages` memoises the
+    /// pages one block has faulted.
+    fn read(&self, off: usize, pages: &mut HashMap<usize, Arc<Page>>) -> Result<u32, StoreError> {
+        match self {
+            Blocks::Ram(vals) => Ok(vals[off]),
+            Blocks::Paged { table, .. } => {
+                let cells_per_block = table.layout().cells_per_block();
+                let bf = off / cells_per_block;
+                let page = match pages.entry(bf) {
+                    Entry::Occupied(e) => e.into_mut(),
+                    Entry::Vacant(e) => e.insert(table.fault_block(bf)?),
+                };
+                Ok(page.get(off - bf * cells_per_block))
+            }
+        }
+    }
+
+    /// Commits block `bf`'s finished cells.
+    fn commit(
+        &mut self,
+        layout: &BlockedLayout,
+        bf: usize,
+        cells: Vec<u32>,
+    ) -> Result<(), StoreError> {
+        match self {
+            Blocks::Ram(vals) => {
+                vals[layout.block_region(bf)].copy_from_slice(&cells);
+                Ok(())
+            }
+            Blocks::Paged { table, .. } => table.commit_block(bf, cells),
+        }
+    }
+
+    /// The whole table in row-major order.
+    fn into_row_major(self, layout: &BlockedLayout) -> Result<Vec<u32>, StoreError> {
+        match self {
+            Blocks::Ram(vals) => Ok(layout.scatter_back(&vals)),
+            Blocks::Paged { table, .. } => table.gather(),
+        }
+    }
+}
+
+/// The overlapped paged sweep's background stream for block-level `l`,
+/// mirroring the paper's Alg. 4 round-robin: drain level ℓ−1 first
+/// (pre-written spill files make this level's commit-time demotions
+/// free), then prefetch the committed dependencies of level ℓ+1 into
+/// whatever RAM the drain freed up.
+fn overlap_streams(table: &PagedTable, levels: &BlockLevels, l: usize) {
+    let t = pcmax_obs::Timer::start();
+    if l >= 1 {
+        for &bf in levels.level(l - 1) {
+            let _ = table.write_behind_block(bf);
+        }
+    }
+    if l + 1 < levels.num_levels() {
+        for bf in dep_blocks_below(table.layout(), levels.level(l + 1), l) {
+            let _ = table.prefetch_block(bf);
+        }
+    }
+    if t.is_recording() {
+        pcmax_obs::registry::global()
+            .histogram("store.overlap_us")
+            .record(t.elapsed_us());
+    }
 }
 
 /// Every block the next block-level's sweep can fault: blocks
@@ -273,30 +352,47 @@ impl DpProblem {
 
     /// Computes one cell given read access to all dependency cells.
     ///
-    /// `read(flat)` must return the final value of any cell with a smaller
-    /// anti-diagonal level. Returns the cell value and the number of
-    /// configurations enumerated.
+    /// `read(s, delta)` must return the final value of `v − s` (`delta`
+    /// is its row-major offset below `v`), a cell on a smaller
+    /// anti-diagonal level. The first read error aborts the cell. `s` is
+    /// the caller's all-zero enumeration buffer, one entry per class.
+    /// Returns the cell value and the number of configurations enumerated.
     #[inline]
-    fn compute_cell(&self, v: &[usize], vflat: usize, read: impl Fn(usize) -> u32) -> (u32, u64) {
+    fn compute_cell<E>(
+        &self,
+        v: &[usize],
+        s: &mut [usize],
+        mut read: impl FnMut(&[usize], usize) -> Result<u32, E>,
+    ) -> Result<(u32, u64), E> {
         if v.iter().all(|&x| x == 0) {
-            return (0, 0);
+            return Ok((0, 0));
         }
         let mut best = INFEASIBLE;
         let mut enumerated = 0u64;
-        for_each_config(v, &self.sizes, self.shape.strides(), self.cap, &mut |_s,
-                                                                              _w,
-                                                                              delta| {
+        let mut err = None;
+        let strides = self.shape.strides();
+        for_each_config_in(v, &self.sizes, strides, self.cap, s, &mut |s, _w, delta| {
             enumerated += 1;
-            if delta == 0 {
-                return; // the zero configuration schedules nothing
+            // The zero configuration schedules nothing; after a failed
+            // read the remaining configurations are only counted.
+            if delta == 0 || err.is_some() {
+                return;
             }
-            let val = read(vflat - delta);
-            if val < best {
-                best = val;
+            match read(s, delta) {
+                Ok(val) if val < best => best = val,
+                Ok(_) => {}
+                Err(e) => err = Some(e),
             }
         });
-        let value = if best == INFEASIBLE { INFEASIBLE } else { best + 1 };
-        (value, enumerated)
+        if let Some(e) = err {
+            return Err(e);
+        }
+        let value = if best == INFEASIBLE {
+            INFEASIBLE
+        } else {
+            best + 1
+        };
+        Ok((value, enumerated))
     }
 
     /// Solves with the chosen engine.
@@ -315,6 +411,7 @@ impl DpProblem {
         let mut values = vec![0u32; sigma];
         let mut configs = 0u64;
         let mut v = vec![0usize; self.shape.ndim()];
+        let mut s = vec![0usize; self.shape.ndim()];
         // Row-major order interleaves anti-diagonal levels, so per-level
         // timing is meaningless here; when recording, cells are still
         // binned by level (ℓ = Σ vᵢ) for the trace's work attribution.
@@ -325,7 +422,8 @@ impl DpProblem {
         };
         for flat in 0..sigma {
             self.shape.unflatten_into(flat, &mut v);
-            let (val, c) = self.compute_cell(&v, flat, |i| values[i]);
+            let Ok((val, c)) =
+                self.compute_cell(&v, &mut s, |_, d| Ok::<_, Infallible>(values[flat - d]));
             values[flat] = val;
             configs += c;
             if !levels.is_empty() {
@@ -342,6 +440,7 @@ impl DpProblem {
         let timer = pcmax_obs::Timer::start();
         let sigma = self.shape.size();
         let levels = LevelBuckets::new(&self.shape);
+        let ndim = self.shape.ndim();
         let mut values = vec![0u32; sigma];
         let mut configs = 0u64;
         let mut level_stats = Vec::new();
@@ -352,10 +451,11 @@ impl DpProblem {
             let results: Vec<(usize, u32, u64)> = cells
                 .par_iter()
                 .map_init(
-                    || vec![0usize; self.shape.ndim()],
-                    |v, &flat| {
+                    || (vec![0usize; ndim], vec![0usize; ndim]),
+                    |(v, s), &flat| {
                         self.shape.unflatten_into(flat, v);
-                        let (val, c) = self.compute_cell(v, flat, |i| values[i]);
+                        let Ok((val, c)) =
+                            self.compute_cell(v, s, |_, d| Ok::<_, Infallible>(values[flat - d]));
                         (flat, val, c)
                     },
                 )
@@ -386,79 +486,9 @@ impl DpProblem {
     /// Blocked sweep with an explicit divisor (exposed for ablations).
     pub fn solve_blocked_with(&self, divisor: &Divisor) -> DpSolution {
         let layout = BlockedLayout::new(self.shape.clone(), divisor.clone());
-        let block_levels = BlockLevels::new(&layout);
-        let in_block_levels = LevelBuckets::new(layout.block_shape());
-        let cells_per_block = layout.cells_per_block();
-        let ndim = self.shape.ndim();
-
-        // Values live in *blocked* order during the sweep.
-        let timer = pcmax_obs::Timer::start();
-        let mut vals = vec![0u32; self.shape.size()];
-        let mut configs = 0u64;
-        let mut level_stats = Vec::new();
-
-        for (_, blocks) in block_levels.iter() {
-            let level_timer = pcmax_obs::Timer::start();
-            // Each block computes into a scratch buffer: reads of its own
-            // cells come from scratch (same block, earlier in-block level),
-            // reads of other blocks hit `vals` (strictly lower block-level,
-            // already complete).
-            let results: Vec<(usize, Vec<u32>, u64)> = blocks
-                .par_iter()
-                .map(|&bf| {
-                    let region = layout.block_region(bf);
-                    let mut scratch = vec![0u32; cells_per_block];
-                    let mut base = vec![0usize; ndim];
-                    layout.block_base(bf, &mut base);
-                    let mut local_configs = 0u64;
-                    let mut v = vec![0usize; ndim];
-                    let mut inb = vec![0usize; ndim];
-                    let mut dep = vec![0usize; ndim];
-                    for (_, in_cells) in in_block_levels.iter() {
-                        for &in_flat in in_cells {
-                            layout.block_shape().unflatten_into(in_flat, &mut inb);
-                            for i in 0..ndim {
-                                v[i] = base[i] + inb[i];
-                            }
-                            let (val, c) = self.compute_cell_blocked(
-                                &v,
-                                &layout,
-                                &region,
-                                &scratch,
-                                &vals,
-                                &mut dep,
-                            );
-                            scratch[in_flat] = val;
-                            local_configs += c;
-                        }
-                    }
-                    (region.start, scratch, local_configs)
-                })
-                .collect();
-            let mut level_configs = 0u64;
-            for (start, scratch, c) in results {
-                vals[start..start + cells_per_block].copy_from_slice(&scratch);
-                level_configs += c;
-            }
-            configs += level_configs;
-            if level_timer.is_recording() {
-                level_stats.push(DpLevelStat {
-                    cells: (blocks.len() * cells_per_block) as u64,
-                    configs: level_configs,
-                    elapsed_us: level_timer.elapsed_us(),
-                });
-            }
-        }
-
-        let values = layout.scatter_back(&vals);
-        self.finish(
-            values,
-            configs,
-            layout.num_blocks(),
-            block_levels.num_levels(),
-            timer.elapsed_us(),
-            level_stats,
-        )
+        let blocks = Blocks::Ram(vec![0u32; self.shape.size()]);
+        self.sweep_blocks(&layout, blocks)
+            .expect("in-RAM blocks never fail a read or commit")
     }
 
     /// Blocked sweep against a tiered page store: the same block-level
@@ -473,163 +503,142 @@ impl DpProblem {
         dim_limit: usize,
         store: Arc<TieredStore>,
     ) -> Result<DpSolution, StoreError> {
-        let divisor = Divisor::compute(&self.shape, dim_limit, DivisorRule::TableConsistent);
-        self.solve_paged_with(&divisor, store)
+        self.solve_paged_impl(dim_limit, store, false)
     }
 
     /// [`Self::solve_paged`] with the overlapped (prefetch +
     /// write-behind) streams enabled — the storage-layer analogue of the
     /// paper's 4-stream round-robin, bit-identical to the synchronous
     /// sweep.
+    ///
+    /// Each block-level's compute shares the wall clock with a background
+    /// stream: it pre-writes level ℓ−1's spill files (so the demotions
+    /// triggered by this level's commits free RAM without stalling on
+    /// disk), then prefetches the pages level ℓ+1 will read into the
+    /// store's staging ring. Both are strictly best-effort — the store
+    /// primitives yield rather than evict, and a failed background I/O
+    /// resurfaces on the compute path if and only if it matters — so the
+    /// sweep only stops paying fault latency on the compute path.
     pub fn solve_paged_overlapped(
         &self,
         dim_limit: usize,
         store: Arc<TieredStore>,
     ) -> Result<DpSolution, StoreError> {
+        self.solve_paged_impl(dim_limit, store, true)
+    }
+
+    fn solve_paged_impl(
+        &self,
+        dim_limit: usize,
+        store: Arc<TieredStore>,
+        overlap: bool,
+    ) -> Result<DpSolution, StoreError> {
         let divisor = Divisor::compute(&self.shape, dim_limit, DivisorRule::TableConsistent);
-        self.solve_paged_with_opts(&divisor, store, &PagedOptions { overlap: true })
-    }
-
-    /// Paged sweep with an explicit divisor (exposed for ablations and
-    /// differential audits).
-    pub fn solve_paged_with(
-        &self,
-        divisor: &Divisor,
-        store: Arc<TieredStore>,
-    ) -> Result<DpSolution, StoreError> {
-        self.solve_paged_with_opts(divisor, store, &PagedOptions::default())
-    }
-
-    /// Paged sweep with an explicit divisor and [`PagedOptions`].
-    ///
-    /// With `overlap` on, each block-level's compute shares the wall
-    /// clock with two background streams mirroring the paper's Alg. 4
-    /// round-robin: a *drain* stream pre-writes level ℓ−1's spill files
-    /// (so the demotions triggered by this level's commits free RAM
-    /// without stalling on disk), and a *prefetch* stream faults the
-    /// pages level ℓ+1 will read back into spare RAM (so the next
-    /// level's dependency reads hit RAM instead of stalling). Both
-    /// streams are strictly best-effort — the store primitives yield
-    /// rather than evict, and a failed background I/O resurfaces on the
-    /// compute path if and only if it matters — so the overlapped sweep
-    /// is bit-identical to the synchronous one, it just stops paying
-    /// fault latency on the compute path.
-    pub fn solve_paged_with_opts(
-        &self,
-        divisor: &Divisor,
-        store: Arc<TieredStore>,
-        opts: &PagedOptions,
-    ) -> Result<DpSolution, StoreError> {
-        let layout = BlockedLayout::new(self.shape.clone(), divisor.clone());
-        let block_levels = BlockLevels::new(&layout);
-        let in_block_levels = LevelBuckets::new(layout.block_shape());
-        let cells_per_block = layout.cells_per_block();
-        let ndim = self.shape.ndim();
+        let layout = BlockedLayout::new(self.shape.clone(), divisor);
         // OPT(v) ≤ Σ vᵢ ≤ Σ counts (every used machine packs at least
         // one job), so the count sum bounds every finite cell and the
         // narrowest width whose sentinel clears it packs losslessly —
         // u8 pages for paper-scale tables, 4× the blocks per byte of
         // budget.
         let width = CellWidth::for_max_value(self.counts.iter().map(|&c| c as u64).sum());
-        let paged = PagedTable::new(layout.clone(), store, width);
-        let overlap_us = pcmax_obs::registry::global().histogram("store.overlap_us");
+        let table = PagedTable::new(layout.clone(), store, width);
+        self.sweep_blocks(&layout, Blocks::Paged { table, overlap })
+    }
+
+    /// The block-level sweep shared by the in-RAM and paged engines.
+    ///
+    /// Blocks of one block-level are independent and run in parallel.
+    /// Each computes into a scratch buffer: reads of its own cells come
+    /// from scratch (same block, earlier in-block level), reads of other
+    /// blocks go to `blocks` (strictly lower block-level, committed). A
+    /// level's blocks are committed in block order once all are done.
+    fn sweep_blocks(
+        &self,
+        layout: &BlockedLayout,
+        mut blocks: Blocks,
+    ) -> Result<DpSolution, StoreError> {
+        let block_levels = BlockLevels::new(layout);
+        let in_block_levels = LevelBuckets::new(layout.block_shape());
+        let cells_per_block = layout.cells_per_block();
+        let ndim = self.shape.ndim();
 
         let timer = pcmax_obs::Timer::start();
         let mut configs = 0u64;
         let mut level_stats = Vec::new();
-        let num_levels = block_levels.num_levels();
 
-        for (l, blocks) in block_levels.iter() {
+        for (l, level) in block_levels.iter() {
             let level_timer = pcmax_obs::Timer::start();
-            // As in the in-RAM blocked sweep, a block's own cells come
-            // from scratch; cross-block dependencies live in strictly
-            // lower block-levels, already committed to the store.
-            let results: Vec<Result<(usize, Vec<u32>, u64), StoreError>> =
-                std::thread::scope(|scope| {
-                    if opts.overlap {
-                        let paged = &paged;
-                        let layout = &layout;
-                        let block_levels = &block_levels;
-                        let overlap_us = &overlap_us;
-                        scope.spawn(move || {
-                            let t = pcmax_obs::Timer::start();
-                            // Drain first: pre-written spill files make
-                            // this level's commit-time demotions free.
-                            if l >= 1 {
-                                for &bf in block_levels.level(l - 1) {
-                                    let _ = paged.write_behind_block(bf);
+            let results: Vec<_> = std::thread::scope(|scope| {
+                if let Blocks::Paged {
+                    table,
+                    overlap: true,
+                } = &blocks
+                {
+                    let block_levels = &block_levels;
+                    scope.spawn(move || overlap_streams(table, block_levels, l));
+                }
+                level
+                    .par_iter()
+                    .map(|&bf| {
+                        let region = layout.block_region(bf);
+                        let mut scratch = vec![0u32; cells_per_block];
+                        let mut base = vec![0usize; ndim];
+                        layout.block_base(bf, &mut base);
+                        let mut local_configs = 0u64;
+                        let mut v = vec![0usize; ndim];
+                        let mut inb = vec![0usize; ndim];
+                        let mut dep = vec![0usize; ndim];
+                        let mut s = vec![0usize; ndim];
+                        // Dependency reads cluster heavily, so each
+                        // block keeps the pages it faulted: repeat
+                        // reads stay off the store lock entirely.
+                        let mut pages = HashMap::new();
+                        for (_, in_cells) in in_block_levels.iter() {
+                            for &in_flat in in_cells {
+                                layout.block_shape().unflatten_into(in_flat, &mut inb);
+                                for i in 0..ndim {
+                                    v[i] = base[i] + inb[i];
                                 }
-                            }
-                            // Then prefetch the committed dependencies
-                            // of level ℓ+1 into whatever RAM the drain
-                            // freed up.
-                            if l + 1 < num_levels {
-                                let deps =
-                                    dep_blocks_below(layout, block_levels.level(l + 1), l);
-                                for bf in deps {
-                                    let _ = paged.prefetch_block(bf);
-                                }
-                            }
-                            if t.is_recording() {
-                                overlap_us.record(t.elapsed_us());
-                            }
-                        });
-                    }
-                    blocks
-                        .par_iter()
-                        .map(|&bf| {
-                            let region = layout.block_region(bf);
-                            let mut scratch = vec![0u32; cells_per_block];
-                            let mut base = vec![0usize; ndim];
-                            layout.block_base(bf, &mut base);
-                            let mut local_configs = 0u64;
-                            let mut v = vec![0usize; ndim];
-                            let mut inb = vec![0usize; ndim];
-                            let mut dep = vec![0usize; ndim];
-                            // Dependency reads cluster heavily, so each
-                            // block keeps the pages it faulted: repeat
-                            // reads stay off the store lock entirely.
-                            let mut pages: HashMap<usize, Arc<Page>> = HashMap::new();
-                            for (_, in_cells) in in_block_levels.iter() {
-                                for &in_flat in in_cells {
-                                    layout.block_shape().unflatten_into(in_flat, &mut inb);
+                                // Every dependency is located via the
+                                // blocked offset (the paper's
+                                // block-scoped search, Alg. 5 lines
+                                // 25–28).
+                                let (val, c) = self.compute_cell(&v, &mut s, |s, _| {
                                     for i in 0..ndim {
-                                        v[i] = base[i] + inb[i];
+                                        dep[i] = v[i] - s[i];
                                     }
-                                    let (val, c) = self.compute_cell_faulted(
-                                        &v,
-                                        &layout,
-                                        &region,
-                                        &scratch,
-                                        &paged,
-                                        &mut pages,
-                                        &mut dep,
-                                    )?;
-                                    scratch[in_flat] = val;
-                                    local_configs += c;
-                                }
+                                    let off = layout.blocked_offset(&dep);
+                                    if region.contains(&off) {
+                                        Ok(scratch[off - region.start])
+                                    } else {
+                                        blocks.read(off, &mut pages)
+                                    }
+                                })?;
+                                scratch[in_flat] = val;
+                                local_configs += c;
                             }
-                            Ok((bf, scratch, local_configs))
-                        })
-                        .collect()
-                });
+                        }
+                        Ok::<_, StoreError>((bf, scratch, local_configs))
+                    })
+                    .collect()
+            });
             let mut level_configs = 0u64;
             for result in results {
                 let (bf, scratch, c) = result?;
-                paged.commit_block(bf, scratch)?;
+                blocks.commit(layout, bf, scratch)?;
                 level_configs += c;
             }
             configs += level_configs;
             if level_timer.is_recording() {
                 level_stats.push(DpLevelStat {
-                    cells: (blocks.len() * cells_per_block) as u64,
+                    cells: (level.len() * cells_per_block) as u64,
                     configs: level_configs,
                     elapsed_us: level_timer.elapsed_us(),
                 });
             }
         }
 
-        let values = paged.gather()?;
+        let values = blocks.into_row_major(layout)?;
         Ok(self.finish(
             values,
             configs,
@@ -672,105 +681,6 @@ impl DpProblem {
 
     fn sparse_problem(&self) -> pcmax_sparse::SparseProblem {
         pcmax_sparse::SparseProblem::new(self.counts.clone(), self.sizes.clone(), self.cap)
-    }
-
-    /// Cell computation against the page store: own-block reads hit the
-    /// scratch buffer, cross-block reads fault the dependency's page.
-    #[allow(clippy::too_many_arguments)]
-    fn compute_cell_faulted(
-        &self,
-        v: &[usize],
-        layout: &BlockedLayout,
-        region: &std::ops::Range<usize>,
-        scratch: &[u32],
-        paged: &PagedTable,
-        pages: &mut HashMap<usize, Arc<Page>>,
-        dep: &mut [usize],
-    ) -> Result<(u32, u64), StoreError> {
-        if v.iter().all(|&x| x == 0) {
-            return Ok((0, 0));
-        }
-        let cpb = layout.cells_per_block();
-        let mut best = INFEASIBLE;
-        let mut enumerated = 0u64;
-        let mut fault_err: Option<StoreError> = None;
-        let zero_strides = vec![0usize; v.len()];
-        for_each_config(v, &self.sizes, &zero_strides, self.cap, &mut |s, _w, _| {
-            enumerated += 1;
-            if fault_err.is_some() || s.iter().all(|&x| x == 0) {
-                return;
-            }
-            for i in 0..v.len() {
-                dep[i] = v[i] - s[i];
-            }
-            let off = layout.blocked_offset(dep);
-            let val = if region.contains(&off) {
-                scratch[off - region.start]
-            } else {
-                let bf = off / cpb;
-                let page = match pages.entry(bf) {
-                    std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        match paged.fault_block(bf) {
-                            Ok(p) => e.insert(p),
-                            Err(err) => {
-                                fault_err = Some(err);
-                                return;
-                            }
-                        }
-                    }
-                };
-                page.get(off - bf * cpb)
-            };
-            if val < best {
-                best = val;
-            }
-        });
-        if let Some(err) = fault_err {
-            return Err(err);
-        }
-        let value = if best == INFEASIBLE { INFEASIBLE } else { best + 1 };
-        Ok((value, enumerated))
-    }
-
-    /// Cell computation in the blocked layout: every dependency is located
-    /// via the blocked offset (the paper's block-scoped search, Alg. 5
-    /// lines 25–28).
-    fn compute_cell_blocked(
-        &self,
-        v: &[usize],
-        layout: &BlockedLayout,
-        region: &std::ops::Range<usize>,
-        scratch: &[u32],
-        vals: &[u32],
-        dep: &mut [usize],
-    ) -> (u32, u64) {
-        if v.iter().all(|&x| x == 0) {
-            return (0, 0);
-        }
-        let mut best = INFEASIBLE;
-        let mut enumerated = 0u64;
-        let zero_strides = vec![0usize; v.len()];
-        for_each_config(v, &self.sizes, &zero_strides, self.cap, &mut |s, _w, _| {
-            enumerated += 1;
-            if s.iter().all(|&x| x == 0) {
-                return;
-            }
-            for i in 0..v.len() {
-                dep[i] = v[i] - s[i];
-            }
-            let off = layout.blocked_offset(dep);
-            let val = if region.contains(&off) {
-                scratch[off - region.start]
-            } else {
-                vals[off]
-            };
-            if val < best {
-                best = val;
-            }
-        });
-        let value = if best == INFEASIBLE { INFEASIBLE } else { best + 1 };
-        (value, enumerated)
     }
 
     fn finish(
@@ -1028,6 +938,20 @@ mod tests {
         let p = DpProblem::new(vec![1], vec![20], 10);
         let sol = p.solve_sequential();
         assert!(p.extract_configs(&sol.values).is_none());
+    }
+
+    #[test]
+    fn compute_cell_surfaces_the_first_read_error() {
+        // A failed page fault must abort the cell with that error, and
+        // no later configuration may read again.
+        let p = DpProblem::new(vec![2, 2], vec![4, 6], 10);
+        let mut reads = 0;
+        let result = p.compute_cell(&[2, 2], &mut [0, 0], |_, _| {
+            reads += 1;
+            Err::<u32, _>(reads)
+        });
+        assert_eq!(result, Err(1));
+        assert_eq!(reads, 1);
     }
 
     #[test]

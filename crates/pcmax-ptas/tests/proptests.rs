@@ -1,12 +1,9 @@
 //! Property-based tests: DP-engine agreement, oracle equality, and the
 //! end-to-end PTAS guarantee on brute-forceable instances.
 
-use ndtable::partition::DivisorRule;
-use ndtable::Divisor;
 use pcmax_core::exact::{brute_force_makespan, min_bins};
 use pcmax_core::Instance;
 use pcmax_ptas::config::{count_configs, dominated_box_size};
-use pcmax_ptas::dp::PagedOptions;
 use pcmax_ptas::search::interval;
 use pcmax_ptas::{DpEngine, DpProblem, Ptas, SearchStrategy};
 use pcmax_store::{StoreBudget, StoreConfig, TieredStore};
@@ -172,8 +169,11 @@ proptest! {
         // cell-for-cell identical to the synchronous paged sweep and to
         // the dense engine — across random budgets (including
         // forced-fault budgets far below the table) and both packed
-        // widths (small_dp() tables pack u8, u16_width_dp() u16).
+        // widths (small_dp() tables pack u8, u16_width_dp() u16). Both
+        // paged runs share the in-RAM blocked sweep's loop, so they must
+        // also enumerate exactly its configurations over its blocks.
         let dense = p.solve(DpEngine::Sequential);
+        let blocked = p.solve(DpEngine::Blocked { dim_limit });
         let case = PROP_CASE.fetch_add(1, Ordering::Relaxed);
         let root = std::env::temp_dir().join(format!(
             "pcmax-ptas-prop-overlap-{}-{case}",
@@ -192,17 +192,21 @@ proptest! {
                 .unwrap(),
             );
             let sol = if overlap {
-                p.solve_paged_with_opts(
-                    &Divisor::compute(p.shape(), dim_limit, DivisorRule::TableConsistent),
-                    Arc::clone(&store),
-                    &PagedOptions { overlap: true },
-                )
+                p.solve_paged_overlapped(dim_limit, Arc::clone(&store))
             } else {
                 p.solve_paged(dim_limit, Arc::clone(&store))
             };
             let sol = sol.expect("paged solve with a spill dir cannot run out of budget");
             prop_assert_eq!(&sol.values, &dense.values, "overlap={}", overlap);
             prop_assert_eq!(sol.opt, dense.opt);
+            prop_assert_eq!(
+                sol.stats.configs_enumerated,
+                blocked.stats.configs_enumerated,
+                "overlap={}",
+                overlap
+            );
+            prop_assert_eq!(sol.stats.num_blocks, blocked.stats.num_blocks);
+            prop_assert_eq!(sol.stats.num_block_levels, blocked.stats.num_block_levels);
         }
         let _ = std::fs::remove_dir_all(&root);
     }

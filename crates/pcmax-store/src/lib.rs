@@ -13,8 +13,7 @@
 //! * [`PageStore`] — the tier interface: put/get/remove pages by id;
 //! * [`RamTier`] — resident pages, packed-byte-accounted;
 //! * [`DiskTier`] — spill files under a configurable directory, one
-//!   checksummed file per page, rebuilt by scanning on reopen; legacy
-//!   v1 (unpacked) page files still decode;
+//!   checksummed file per page, rebuilt by scanning on reopen;
 //! * [`TieredStore`] — RAM over optional disk under a hard **byte**
 //!   budget ([`StoreBudget`]), with pressure-driven RAM→disk demotion in
 //!   bounded second-chance-clock order (write-behind on eviction,

@@ -2,13 +2,12 @@
 //! cells packed at the narrowest width that can hold the table.
 //!
 //! ```text
-//! v2 layout                         v1 layout (read-compat)
-//! offset  size  field               offset  size  field
-//! 0       4     magic  "PCPG"       0       4     magic  "PCPG"
-//! 4       4     format version (2)  4       4     format version (1)
-//! 8       4     cell count          8       4     cell count
-//! 12      4     cell width (bytes)  12      8     FNV-1a 64 of payload
-//! 16      8     FNV-1a 64 of payload  20    4·n   cells, LE u32
+//! offset  size  field
+//! 0       4     magic  "PCPG"
+//! 4       4     format version (2)
+//! 8       4     cell count
+//! 12      4     cell width (bytes)
+//! 16      8     FNV-1a 64 of payload
 //! 24      w·n   cells, LE at width w
 //! ```
 //!
@@ -24,8 +23,8 @@
 //! The workspace's `serde` is a no-op shim (no registry access), so the
 //! format is hand-rolled and self-verifying: a torn or bit-flipped spill
 //! file decodes to [`StoreError::Corrupt`], never to wrong cell values.
-//! Version-1 pages (unpacked `u32`, 20-byte header) still decode, so
-//! spill directories written before the packed format rehydrate cleanly.
+//! Only the current version decodes: spill pages live in per-solve
+//! scratch directories and never outlive the process that wrote them.
 
 use crate::StoreError;
 
@@ -35,8 +34,6 @@ pub const PAGE_MAGIC: [u8; 4] = *b"PCPG";
 pub const PAGE_VERSION: u32 = 2;
 /// Bytes of header preceding the cell payload in the current format.
 pub const PAGE_HEADER_BYTES: usize = 24;
-/// Header size of the legacy unpacked-u32 format, kept for read-compat.
-pub const PAGE_V1_HEADER_BYTES: usize = 20;
 /// The logical infeasible sentinel: pages store `u32` cells and this
 /// value (like `pcmax_ptas::dp::INFEASIBLE`) means "no packing exists".
 pub const INFEASIBLE_CELL: u32 = u32::MAX;
@@ -242,10 +239,9 @@ fn read_u32(bytes: &[u8], at: usize) -> u32 {
     u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"))
 }
 
-/// Deserializes and verifies a page. Accepts both the current packed
-/// v2 format and legacy v1 (unpacked `u32`, 20-byte header) files.
+/// Deserializes and verifies a page.
 pub fn decode_page_packed(bytes: &[u8]) -> Result<Page, StoreError> {
-    if bytes.len() < PAGE_V1_HEADER_BYTES {
+    if bytes.len() < PAGE_HEADER_BYTES {
         return Err(StoreError::Corrupt {
             detail: format!("page truncated: {} bytes < header", bytes.len()),
         });
@@ -256,24 +252,14 @@ pub fn decode_page_packed(bytes: &[u8]) -> Result<Page, StoreError> {
         });
     }
     let version = read_u32(bytes, 4);
+    if version != PAGE_VERSION {
+        return Err(StoreError::Corrupt {
+            detail: format!("unsupported page version {version}"),
+        });
+    }
     let cells = read_u32(bytes, 8) as usize;
-    let (width, header, checksum_at) = match version {
-        1 => (CellWidth::U32, PAGE_V1_HEADER_BYTES, 12),
-        2 => {
-            if bytes.len() < PAGE_HEADER_BYTES {
-                return Err(StoreError::Corrupt {
-                    detail: format!("v2 page truncated: {} bytes < header", bytes.len()),
-                });
-            }
-            (CellWidth::from_code(read_u32(bytes, 12))?, PAGE_HEADER_BYTES, 16)
-        }
-        other => {
-            return Err(StoreError::Corrupt {
-                detail: format!("unsupported page version {other}"),
-            })
-        }
-    };
-    let payload = &bytes[header..];
+    let width = CellWidth::from_code(read_u32(bytes, 12))?;
+    let payload = &bytes[PAGE_HEADER_BYTES..];
     if payload.len() != width.bytes() * cells {
         return Err(StoreError::Corrupt {
             detail: format!(
@@ -284,8 +270,7 @@ pub fn decode_page_packed(bytes: &[u8]) -> Result<Page, StoreError> {
             ),
         });
     }
-    let checksum =
-        u64::from_le_bytes(bytes[checksum_at..checksum_at + 8].try_into().expect("8 bytes"));
+    let checksum = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes"));
     if fnv1a(payload) != checksum {
         return Err(StoreError::Corrupt {
             detail: "page checksum mismatch".into(),
@@ -351,35 +336,24 @@ mod tests {
     }
 
     #[test]
-    fn v1_pages_still_decode() {
-        // Hand-built legacy page: 20-byte header, unpacked u32 cells.
-        let cells = [3u32, 0, u32::MAX, 99];
-        let mut payload = Vec::new();
-        for c in cells {
-            payload.extend_from_slice(&c.to_le_bytes());
-        }
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&PAGE_MAGIC);
-        bytes.extend_from_slice(&1u32.to_le_bytes());
-        bytes.extend_from_slice(&(cells.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        let page = decode_page_packed(&bytes).unwrap();
-        assert_eq!(page.width(), CellWidth::U32);
-        assert_eq!(page.to_cells(), cells);
-        assert_eq!(decode_page(&bytes).unwrap(), cells);
-    }
-
-    #[test]
     fn detects_corruption_anywhere() {
         let page = Page::pack(&[3, 1, 4, 1, 5], CellWidth::U16);
         let bytes = encode_page_packed(&page);
-        for i in 0..bytes.len() {
-            let mut bad = bytes.clone();
-            bad[i] ^= 0x40;
+        let mut inputs: Vec<(String, Vec<u8>)> = (0..bytes.len())
+            .map(|i| {
+                let mut bad = bytes.clone();
+                bad[i] ^= 0x40;
+                (format!("flip at byte {i}"), bad)
+            })
+            .collect();
+        // The retired unpacked format's version number is no longer read.
+        let mut v1 = bytes.clone();
+        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+        inputs.push(("version-1 header".into(), v1));
+        for (what, bad) in inputs {
             assert!(
-                decode_page_packed(&bad).is_err(),
-                "flip at byte {i} undetected"
+                matches!(decode_page_packed(&bad), Err(StoreError::Corrupt { .. })),
+                "{what} undetected"
             );
         }
     }

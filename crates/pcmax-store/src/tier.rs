@@ -288,30 +288,6 @@ mod tests {
     }
 
     #[test]
-    fn disk_tier_reads_legacy_v1_spill_files() {
-        // A spill directory written before the packed format must
-        // rehydrate: hand-write a v1 page file and read it back.
-        use crate::page::{fnv1a, PAGE_MAGIC};
-        let dir = tmp_dir("v1compat");
-        fs::create_dir_all(&dir).unwrap();
-        let cells = [11u32, 0, u32::MAX];
-        let mut payload = Vec::new();
-        for c in cells {
-            payload.extend_from_slice(&c.to_le_bytes());
-        }
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&PAGE_MAGIC);
-        bytes.extend_from_slice(&1u32.to_le_bytes());
-        bytes.extend_from_slice(&(cells.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        fs::write(dir.join(format!("{:016x}.page", 5u64)), &bytes).unwrap();
-        let mut disk = DiskTier::open(&dir).unwrap();
-        assert_eq!(disk.get(5).unwrap().unwrap().to_cells(), cells);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn failed_put_leaves_no_orphaned_page_file() {
         // Target a directory that does not exist (and is not created):
         // the write fails, and no torn `.page` file may remain for a

@@ -7,6 +7,9 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q
+# Every workspace crate's suites (unit, integration, proptests), not only
+# the facade package's.
+cargo test --workspace -q
 
 # Cluster smoke: a tiny sharded-serving workload through the real
 # coordinator + loopback workers, with a mid-load kill to exercise
