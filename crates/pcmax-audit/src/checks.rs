@@ -6,13 +6,13 @@
 
 use crate::report::Divergence;
 use pcmax_core::exact::{brute_force_makespan, subset_dp_makespan};
-use pcmax_core::heuristics::{lpt, multifit, multifit_with_guarantee};
+use pcmax_core::heuristics::{lpt, multifit};
 use pcmax_core::{bounds, Instance};
 use pcmax_ptas::dp::{DpEngine, DpProblem};
 use pcmax_ptas::rounding::{Rounding, RoundingOutcome};
 use pcmax_ptas::search::{self, interval};
 use pcmax_ptas::{Ptas, SearchStrategy};
-use pcmax_serve::solver::{solve_cached, DpCache, SolverOptions};
+use pcmax_serve::solver::{solve_cached, DpCache, ReprPolicy, SolverOptions};
 use pcmax_serve::{solve_portfolio, Arm, PortfolioCounters, PortfolioPolicy};
 use pcmax_sparse::SparseError;
 use pcmax_serve::WarmTier;
@@ -809,8 +809,10 @@ pub fn check_warmsync(inst: &Instance, ctx: &mut CheckCtx<'_>) {
 }
 
 /// The portfolio gauntlet (ISSUE 7): every arm, pinned via
-/// `PortfolioPolicy::Fixed`, plus the Auto policy and one explicit race,
-/// on every adversarial case. For each answer:
+/// `PortfolioPolicy::Fixed`, plus the Auto policy, on every adversarial
+/// case; the pinned PTAS arm runs once more under each forced table
+/// representation (`ReprPolicy::DenseOnly`, `ReprPolicy::SparseOnly`).
+/// For each answer:
 ///
 /// * the schedule is valid and realises the reported makespan,
 /// * the makespan is never below `LB` (and never below exact `OPT` when
@@ -819,63 +821,63 @@ pub fn check_warmsync(inst: &Instance, ctx: &mut CheckCtx<'_>) {
 ///   the oracle runs, and against `UB ≥ OPT` always (`holds` evaluates
 ///   in `u128`, so u64-scale adversarial times cannot wrap the check),
 /// * a pinned arm that answered non-degraded really is that arm, and its
-///   `chosen`/`runs` counters prove it executed,
-/// * a race never invents a value: the racer's answer equals a
-///   standalone run of the same heuristic.
+///   `chosen`/`runs` counters prove it executed.
 pub fn check_portfolio(inst: &Instance, ctx: &mut CheckCtx<'_>) {
     let ub = bounds::upper_bound(inst);
     let lb = bounds::lower_bound(inst);
     let oracle = (inst.num_jobs() <= 10).then(|| brute_force_makespan(inst));
-    let opts = SolverOptions {
-        engine: DpEngine::Sequential,
-        max_table_cells: ctx.max_table_cells,
-        ..SolverOptions::default()
-    };
-    let policies = [
-        PortfolioPolicy::Auto,
-        PortfolioPolicy::Fixed(Arm::LptRev),
-        PortfolioPolicy::Fixed(Arm::Multifit),
-        PortfolioPolicy::Fixed(Arm::Exact),
-        PortfolioPolicy::Fixed(Arm::DenseDp),
-        PortfolioPolicy::Fixed(Arm::SparseDp),
-        PortfolioPolicy::Race(Arm::DenseDp, Arm::Multifit),
+    let runs = [
+        (PortfolioPolicy::Auto, ReprPolicy::Auto),
+        (PortfolioPolicy::Fixed(Arm::LptRev), ReprPolicy::Auto),
+        (PortfolioPolicy::Fixed(Arm::Multifit), ReprPolicy::Auto),
+        (PortfolioPolicy::Fixed(Arm::Exact), ReprPolicy::Auto),
+        (PortfolioPolicy::Fixed(Arm::Ptas), ReprPolicy::Auto),
+        (PortfolioPolicy::Fixed(Arm::Ptas), ReprPolicy::DenseOnly),
+        (PortfolioPolicy::Fixed(Arm::Ptas), ReprPolicy::SparseOnly),
     ];
-    for policy in policies {
+    for (policy, repr) in runs {
         ctx.bump();
+        let opts = SolverOptions {
+            engine: DpEngine::Sequential,
+            repr,
+            max_table_cells: ctx.max_table_cells,
+            ..SolverOptions::default()
+        };
+        let label = format!("{policy} ({repr:?})");
         let cache = DpCache::new(2, 64 << 10);
         let counters = PortfolioCounters::default();
         let out = solve_portfolio(inst, ctx.k, &opts, &cache, None, None, policy, &counters);
         let ms = match out.schedule.validate(inst) {
             Ok(ms) => ms,
             Err(e) => {
-                ctx.diverge("portfolio-schedule", format!("{policy}: invalid schedule: {e}"));
+                ctx.diverge("portfolio-schedule", format!("{label}: invalid schedule: {e}"));
                 continue;
             }
         };
         if ms != out.makespan {
             ctx.diverge(
                 "portfolio-makespan",
-                format!("{policy}: reported {} but schedule realises {ms}", out.makespan),
+                format!("{label}: reported {} but schedule realises {ms}", out.makespan),
             );
         }
         if (ms as u128) < lb as u128 {
             ctx.diverge(
                 "portfolio-below-lb",
-                format!("{policy}: makespan {ms} below lower bound {lb}"),
+                format!("{label}: makespan {ms} below lower bound {lb}"),
             );
         }
         if let Some(opt) = oracle {
             if ms < opt {
                 ctx.diverge(
                     "portfolio-beats-opt",
-                    format!("{policy}: makespan {ms} below optimum {opt}"),
+                    format!("{label}: makespan {ms} below optimum {opt}"),
                 );
             }
             if !out.guarantee.holds(ms, opt) {
                 ctx.diverge(
                     "portfolio-guarantee",
                     format!(
-                        "{policy} ({}): bound {} violated, ms={ms} opt={opt}",
+                        "{label} ({}): bound {} violated, ms={ms} opt={opt}",
                         out.arm, out.guarantee
                     ),
                 );
@@ -887,7 +889,7 @@ pub fn check_portfolio(inst: &Instance, ctx: &mut CheckCtx<'_>) {
             ctx.diverge(
                 "portfolio-guarantee-ub",
                 format!(
-                    "{policy} ({}): bound {} violated even against UB {ub}, ms={ms}",
+                    "{label} ({}): bound {} violated even against UB {ub}, ms={ms}",
                     out.arm, out.guarantee
                 ),
             );
@@ -898,65 +900,32 @@ pub fn check_portfolio(inst: &Instance, ctx: &mut CheckCtx<'_>) {
         if total_won != 1 || total_chosen != 1 {
             ctx.diverge(
                 "portfolio-counters",
-                format!("{policy}: won {total_won}, chosen {total_chosen} (expected 1/1)"),
+                format!("{label}: won {total_won}, chosen {total_chosen} (expected 1/1)"),
             );
         }
-        if report.races != report.race_primary_wins + report.race_racer_wins {
-            ctx.diverge(
-                "portfolio-counters",
-                format!(
-                    "{policy}: races {} != primary {} + racer {}",
-                    report.races, report.race_primary_wins, report.race_racer_wins
-                ),
-            );
-        }
-        match policy {
-            PortfolioPolicy::Fixed(arm) => {
-                let pinned = report.arms.iter().find(|a| a.arm == arm.name()).unwrap();
-                if pinned.chosen != 1 || pinned.runs == 0 {
-                    ctx.diverge(
-                        "portfolio-attribution",
-                        format!(
-                            "fixed:{arm} never executed (chosen {}, runs {})",
-                            pinned.chosen, pinned.runs
-                        ),
-                    );
-                }
-                if !out.degraded && out.arm != arm {
-                    ctx.diverge(
-                        "portfolio-attribution",
-                        format!("fixed:{arm} answered non-degraded via {}", out.arm),
-                    );
-                }
-                if out.degraded && !matches!(out.arm, Arm::LptRev | Arm::Multifit) {
-                    ctx.diverge(
-                        "portfolio-attribution",
-                        format!("fixed:{arm} degraded to non-net arm {}", out.arm),
-                    );
-                }
+        if let PortfolioPolicy::Fixed(arm) = policy {
+            let pinned = report.arms.iter().find(|a| a.arm == arm.name()).unwrap();
+            if pinned.chosen != 1 || pinned.runs == 0 {
+                ctx.diverge(
+                    "portfolio-attribution",
+                    format!(
+                        "{label} never executed (chosen {}, runs {})",
+                        pinned.chosen, pinned.runs
+                    ),
+                );
             }
-            PortfolioPolicy::Race(_, racer) => {
-                if !out.raced {
-                    ctx.diverge(
-                        "portfolio-race",
-                        format!("{policy}: race policy answered without racing"),
-                    );
-                }
-                if out.arm == racer {
-                    // Racing must never invent a value: the racer's
-                    // makespan equals a standalone run of that arm.
-                    let (standalone, _) =
-                        multifit_with_guarantee(inst, pcmax_serve::portfolio::MULTIFIT_ITERS);
-                    let reference = standalone.makespan(inst);
-                    if ms != reference {
-                        ctx.diverge(
-                            "portfolio-race",
-                            format!("racer answered {ms}, standalone multifit {reference}"),
-                        );
-                    }
-                }
+            if !out.degraded && out.arm != arm {
+                ctx.diverge(
+                    "portfolio-attribution",
+                    format!("{label} answered non-degraded via {}", out.arm),
+                );
             }
-            PortfolioPolicy::Auto => {}
+            if out.degraded && !matches!(out.arm, Arm::LptRev | Arm::Multifit) {
+                ctx.diverge(
+                    "portfolio-attribution",
+                    format!("{label} degraded to non-net arm {}", out.arm),
+                );
+            }
         }
     }
 }

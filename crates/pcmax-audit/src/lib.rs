@@ -25,9 +25,10 @@
 //!   moved set is exactly the brute-force rendezvous ownership diff,
 //! * heuristics and the PTAS vs `brute_force_makespan` /
 //!   `subset_dp_makespan` on small instances,
-//! * the solver portfolio's gauntlet: every arm (pinned, auto, raced)
-//!   answers validly, never beats the oracle, and its certified
-//!   guarantee holds in `u128`,
+//! * the solver portfolio's gauntlet: every arm (pinned and auto, the
+//!   PTAS arm also under each forced table representation) answers
+//!   validly, never beats the oracle, and its certified guarantee holds
+//!   in `u128`,
 //! * the anytime improver's gauntlet: greedy descent and the island GA
 //!   never worsen a piled input, stay valid and above `LB`/`OPT`, rerun
 //!   deterministically under a fixed seed, and agree bit-for-bit across

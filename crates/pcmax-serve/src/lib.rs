@@ -5,9 +5,13 @@
 //!
 //! * **Admission control** — a bounded queue rejects work at the door
 //!   ([`ServeError::Overloaded`]) instead of letting latency collapse.
+//! * **Solver portfolio** — each request runs one arm of [`portfolio`],
+//!   picked from cheap instance features: exact branch-and-bound for
+//!   tiny instances, the cached PTAS when its predicted cost fits the
+//!   deadline, else the heuristic safety net.
 //! * **Deadline degradation** — a request that cannot finish inside its
 //!   deadline still gets a *valid* schedule, produced by the better of
-//!   LPT and MULTIFIT, flagged [`SolveResponse::degraded`].
+//!   LPT-revisited and MULTIFIT, flagged [`SolveResponse::degraded`].
 //! * **Rounded-instance DP cache** — probes are memoised under the
 //!   canonical key `(class counts, gcd-normalised sizes, capacity)` from
 //!   [`pcmax_ptas::DpProblem::canonical_key`], so repeated or similar

@@ -1,29 +1,29 @@
 //! Instance-adaptive solver portfolio (ISSUE 7 tentpole).
 //!
 //! Replaces the hardcoded `cache → DP → heuristic` ladder with a
-//! feature-driven selection over five *arms*:
+//! feature-driven selection over four *arms*:
 //!
 //! | arm        | algorithm                         | guarantee reported        |
 //! |------------|-----------------------------------|---------------------------|
 //! | `lptrev`   | LPT-revisited (split-and-solve)   | critical-index refinement |
 //! | `multifit` | MULTIFIT, 10 FFD iterations       | 13/11 + interval residue  |
 //! | `exact`    | branch-and-bound (tiny `n` only)  | 1/1                       |
-//! | `dense`    | cache-backed PTAS, dense tables   | `1 + 1/k + 1/k²` + 2      |
-//! | `sparse`   | cache-backed PTAS, sparse frontier| `1 + 1/k + 1/k²` + 2      |
+//! | `ptas`     | cache-backed PTAS                 | `1 + 1/k + 1/k²` + 2      |
+//!
+//! The `ptas` arm's table representation (dense, sparse frontier, or
+//! paged) is not an arm choice: [`crate::solver`] plans it per probe
+//! under [`crate::solver::ReprPolicy`].
 //!
 //! A cheap [`InstanceFeatures`] probe (no DP cells allocated) feeds a
 //! deadline-aware policy: tiny instances go exact, uniform instances go
-//! LPT (provably optimal there), affordable DPs run alone, *marginally*
-//! affordable DPs race the heuristic safety net on the rayon pool, and
-//! hopeless budgets go straight to the net. Races are resolved
-//! deterministically: the DP arm wins iff it finished within the
-//! deadline (the DP self-aborts at expiry), otherwise the racer's answer
-//! — already computed, no second wait — is returned. Every answer
-//! carries the [`Guarantee`] of the arm that actually produced it.
+//! LPT (provably optimal there), affordable DPs run, and hopeless
+//! budgets go straight to the heuristic safety net. A picked arm that
+//! fails (deadline, admission) is answered by that net instead, flagged
+//! `degraded`. Every answer carries the [`Guarantee`] of the arm that
+//! actually produced it.
 
 use crate::solver::{
-    probe_features, solve_cached, Degrade, DpCache, InstanceFeatures, ReprCounts, ReprPolicy,
-    SolverOptions,
+    probe_features, solve_cached, Degrade, DpCache, InstanceFeatures, ReprCounts, SolverOptions,
 };
 use crate::stats::{ArmReport, EngineUsed, PortfolioReport};
 use crate::warm::WarmTier;
@@ -34,7 +34,7 @@ use pcmax_obs::Histogram;
 use std::fmt;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// FFD binary-search depth of the MULTIFIT arm (matches the pre-portfolio
 /// fallback).
@@ -63,21 +63,13 @@ pub enum Arm {
     Multifit,
     /// Exact branch-and-bound (tiny instances).
     Exact,
-    /// Cache-backed PTAS restricted to dense tables.
-    DenseDp,
-    /// Cache-backed PTAS restricted to the sparse frontier.
-    SparseDp,
+    /// Cache-backed PTAS under the service's representation policy.
+    Ptas,
 }
 
 impl Arm {
     /// All arms, in canonical report order.
-    pub const ALL: [Arm; 5] = [
-        Arm::LptRev,
-        Arm::Multifit,
-        Arm::Exact,
-        Arm::DenseDp,
-        Arm::SparseDp,
-    ];
+    pub const ALL: [Arm; 4] = [Arm::LptRev, Arm::Multifit, Arm::Exact, Arm::Ptas];
 
     /// Wire/CLI name.
     pub fn name(self) -> &'static str {
@@ -85,8 +77,7 @@ impl Arm {
             Arm::LptRev => "lptrev",
             Arm::Multifit => "multifit",
             Arm::Exact => "exact",
-            Arm::DenseDp => "dense",
-            Arm::SparseDp => "sparse",
+            Arm::Ptas => "ptas",
         }
     }
 
@@ -96,8 +87,7 @@ impl Arm {
             Arm::LptRev => 0,
             Arm::Multifit => 1,
             Arm::Exact => 2,
-            Arm::DenseDp => 3,
-            Arm::SparseDp => 4,
+            Arm::Ptas => 3,
         }
     }
 
@@ -107,7 +97,7 @@ impl Arm {
             Arm::LptRev => EngineUsed::LptRev,
             Arm::Multifit => EngineUsed::Multifit,
             Arm::Exact => EngineUsed::Exact,
-            Arm::DenseDp | Arm::SparseDp => EngineUsed::Ptas,
+            Arm::Ptas => EngineUsed::Ptas,
         }
     }
 }
@@ -121,32 +111,22 @@ impl fmt::Display for Arm {
 impl FromStr for Arm {
     type Err = String;
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "lptrev" => Ok(Arm::LptRev),
-            "multifit" => Ok(Arm::Multifit),
-            "exact" => Ok(Arm::Exact),
-            "dense" => Ok(Arm::DenseDp),
-            "sparse" => Ok(Arm::SparseDp),
-            other => Err(format!(
-                "unknown arm `{other}` (expected lptrev|multifit|exact|dense|sparse)"
-            )),
-        }
+        Arm::ALL
+            .into_iter()
+            .find(|arm| arm.name() == s)
+            .ok_or_else(|| format!("unknown arm `{s}` (expected lptrev|multifit|exact|ptas)"))
     }
 }
 
 /// How the service picks an arm per request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PortfolioPolicy {
-    /// Feature-driven selection with racing when the cost prediction is
-    /// marginal — the production default.
+    /// Feature-driven selection — the production default.
     #[default]
     Auto,
     /// Always run one arm (degrading to the heuristic net if it fails) —
     /// for benchmarking and the audit gauntlet.
     Fixed(Arm),
-    /// Always race two explicit arms; the first wins ties. Primarily a
-    /// deterministic harness for the race machinery.
-    Race(Arm, Arm),
 }
 
 impl fmt::Display for PortfolioPolicy {
@@ -154,7 +134,6 @@ impl fmt::Display for PortfolioPolicy {
         match self {
             PortfolioPolicy::Auto => f.write_str("auto"),
             PortfolioPolicy::Fixed(arm) => write!(f, "fixed:{arm}"),
-            PortfolioPolicy::Race(a, b) => write!(f, "race:{a},{b}"),
         }
     }
 }
@@ -168,14 +147,8 @@ impl FromStr for PortfolioPolicy {
         if let Some(arm) = s.strip_prefix("fixed:") {
             return Ok(PortfolioPolicy::Fixed(arm.parse()?));
         }
-        if let Some(pair) = s.strip_prefix("race:") {
-            let (a, b) = pair
-                .split_once(',')
-                .ok_or_else(|| format!("race policy needs two arms, got `{pair}`"))?;
-            return Ok(PortfolioPolicy::Race(a.parse()?, b.parse()?));
-        }
         Err(format!(
-            "unknown portfolio policy `{s}` (expected auto, fixed:<arm> or race:<arm>,<arm>)"
+            "unknown portfolio policy `{s}` (expected auto or fixed:<arm>)"
         ))
     }
 }
@@ -183,30 +156,13 @@ impl FromStr for PortfolioPolicy {
 /// Lifetime portfolio counters, shared by all workers of one service.
 /// Latency histograms record only while `pcmax_obs` recording is enabled
 /// (same convention as [`crate::stats::ServeMetrics`]); the `chosen` /
-/// `won` / `runs` / race counters are unconditional.
-#[derive(Debug)]
+/// `won` / `runs` counters are unconditional.
+#[derive(Debug, Default)]
 pub struct PortfolioCounters {
-    chosen: [AtomicU64; 5],
-    won: [AtomicU64; 5],
-    runs: [AtomicU64; 5],
-    races: AtomicU64,
-    race_primary_wins: AtomicU64,
-    race_racer_wins: AtomicU64,
-    arm_us: [Histogram; 5],
-}
-
-impl Default for PortfolioCounters {
-    fn default() -> Self {
-        Self {
-            chosen: Default::default(),
-            won: Default::default(),
-            runs: Default::default(),
-            races: AtomicU64::new(0),
-            race_primary_wins: AtomicU64::new(0),
-            race_racer_wins: AtomicU64::new(0),
-            arm_us: std::array::from_fn(|_| Histogram::default()),
-        }
-    }
+    chosen: [AtomicU64; 4],
+    won: [AtomicU64; 4],
+    runs: [AtomicU64; 4],
+    arm_us: [Histogram; 4],
 }
 
 impl PortfolioCounters {
@@ -228,7 +184,11 @@ impl PortfolioCounters {
         }
     }
 
-    fn note_run(&self, arm: Arm, us: u64) {
+    /// Executes one run of `arm`, timing it into the counters.
+    fn time_run<T>(&self, arm: Arm, run: impl FnOnce() -> T) -> T {
+        let start = Instant::now();
+        let out = run();
+        let us = micros(start.elapsed());
         self.runs[arm.idx()].fetch_add(1, Ordering::Relaxed);
         if pcmax_obs::enabled() {
             self.arm_us[arm.idx()].record(us);
@@ -236,26 +196,7 @@ impl PortfolioCounters {
                 .histogram(&format!("portfolio.arm_us.{arm}"))
                 .record(us);
         }
-    }
-
-    fn note_race(&self, primary_won: bool) {
-        self.races.fetch_add(1, Ordering::Relaxed);
-        let bucket = if primary_won {
-            &self.race_primary_wins
-        } else {
-            &self.race_racer_wins
-        };
-        bucket.fetch_add(1, Ordering::Relaxed);
-        if pcmax_obs::enabled() {
-            let reg = pcmax_obs::registry::global();
-            reg.counter("portfolio.races").inc();
-            reg.counter(if primary_won {
-                "portfolio.race_primary_wins"
-            } else {
-                "portfolio.race_racer_wins"
-            })
-            .inc();
-        }
+        out
     }
 
     /// Point-in-time snapshot for the stats JSON.
@@ -271,11 +212,12 @@ impl PortfolioCounters {
                     latency_us: self.arm_us[arm.idx()].snapshot(),
                 })
                 .collect(),
-            races: self.races.load(Ordering::Relaxed),
-            race_primary_wins: self.race_primary_wins.load(Ordering::Relaxed),
-            race_racer_wins: self.race_racer_wins.load(Ordering::Relaxed),
         }
     }
+}
+
+fn micros(d: Duration) -> u64 {
+    d.as_micros().min(u64::MAX as u128) as u64
 }
 
 /// One answered request: the winning arm's schedule, attribution, and
@@ -305,8 +247,6 @@ pub struct PortfolioOutcome {
     pub cache_misses: u64,
     /// Representation of each cache-missing probe (empty for non-DP).
     pub repr: ReprCounts,
-    /// Whether two arms raced for this request.
-    pub raced: bool,
 }
 
 impl PortfolioOutcome {
@@ -324,7 +264,6 @@ impl PortfolioOutcome {
             cache_hits: 0,
             cache_misses: 0,
             repr: ReprCounts::default(),
-            raced: false,
         }
     }
 }
@@ -336,10 +275,8 @@ enum Selection {
     /// All times equal: LPT balances perfectly and is provably optimal —
     /// no DP needed, answer is *not* degraded.
     Uniform,
-    /// The DP is comfortably affordable: run it alone.
-    Dp(Arm),
-    /// The DP is marginal: race it against the heuristic net.
-    RaceDp(Arm),
+    /// The DP is affordable: run the PTAS arm.
+    Dp,
     /// No affordable DP (budget or admission): heuristic net only.
     HeuristicOnly,
 }
@@ -351,54 +288,20 @@ fn select(f: &InstanceFeatures, budget_us: Option<u64>) -> Selection {
     if f.min_time == f.max_time {
         return Selection::Uniform;
     }
-    let Some(planned) = f.planned else {
+    if f.planned.is_none() {
         return Selection::HeuristicOnly;
-    };
-    // Paged probes still run the PTAS ladder; they are accounted under
-    // the sparse arm (the ladder only reaches paged past sparse).
-    let dp = match planned {
-        pcmax_sparse::PlannedRepr::Dense => Arm::DenseDp,
-        pcmax_sparse::PlannedRepr::Sparse | pcmax_sparse::PlannedRepr::Paged => Arm::SparseDp,
-    };
+    }
     match budget_us {
-        None => Selection::Dp(dp),
-        Some(0) => Selection::HeuristicOnly,
-        Some(b) => {
-            if f.est_dp_us <= b / 2 {
-                Selection::Dp(dp)
-            } else if f.est_dp_us <= b.saturating_mul(2) {
-                Selection::RaceDp(dp)
-            } else {
-                Selection::HeuristicOnly
-            }
-        }
+        None => Selection::Dp,
+        Some(b) if b > 0 && f.est_dp_us <= b.saturating_mul(2) => Selection::Dp,
+        Some(_) => Selection::HeuristicOnly,
     }
 }
 
-/// Runs one arm, timing it into the counters. DP arms may fail
-/// (deadline, admission); heuristic arms never do.
-#[allow(clippy::too_many_arguments)]
-fn run_timed(
-    arm: Arm,
-    repr_override: Option<ReprPolicy>,
-    inst: &Instance,
-    k: u64,
-    opts: &SolverOptions,
-    cache: &DpCache,
-    warm: Option<&WarmTier>,
-    deadline: Option<Instant>,
-    counters: &PortfolioCounters,
-) -> Result<PortfolioOutcome, Degrade> {
-    let start = Instant::now();
-    let result = run_arm(arm, repr_override, inst, k, opts, cache, warm, deadline);
-    counters.note_run(arm, start.elapsed().as_micros().min(u64::MAX as u128) as u64);
-    result
-}
-
-#[allow(clippy::too_many_arguments)]
+/// Runs one arm. The exact and PTAS arms may fail (job cap, deadline,
+/// admission); the heuristic arms never do.
 fn run_arm(
     arm: Arm,
-    repr_override: Option<ReprPolicy>,
     inst: &Instance,
     k: u64,
     opts: &SolverOptions,
@@ -407,24 +310,7 @@ fn run_arm(
     deadline: Option<Instant>,
 ) -> Result<PortfolioOutcome, Degrade> {
     match arm {
-        Arm::LptRev => {
-            let r = lpt_revisited(inst);
-            Ok(PortfolioOutcome::heuristic(
-                inst,
-                r.schedule,
-                Arm::LptRev,
-                r.guarantee,
-            ))
-        }
-        Arm::Multifit => {
-            let (schedule, guarantee) = multifit_with_guarantee(inst, MULTIFIT_ITERS);
-            Ok(PortfolioOutcome::heuristic(
-                inst,
-                schedule,
-                Arm::Multifit,
-                guarantee,
-            ))
-        }
+        Arm::LptRev | Arm::Multifit => Ok(run_heuristic(arm, inst)),
         Arm::Exact => {
             if inst.num_jobs() > EXACT_HARD_MAX_JOBS {
                 // The arm declines rather than blowing the latency
@@ -442,15 +328,8 @@ fn run_arm(
                 Guarantee::EXACT,
             ))
         }
-        Arm::DenseDp | Arm::SparseDp => {
-            let opts = match repr_override {
-                Some(repr) => SolverOptions {
-                    repr,
-                    ..opts.clone()
-                },
-                None => opts.clone(),
-            };
-            let out = solve_cached(inst, k, &opts, cache, warm, deadline)?;
+        Arm::Ptas => {
+            let out = solve_cached(inst, k, opts, cache, warm, deadline)?;
             let makespan = out.schedule.makespan(inst);
             let guarantee = Guarantee::ptas(k)
                 .tighter(Guarantee::a_posteriori(makespan, bounds::lower_bound(inst)));
@@ -466,22 +345,21 @@ fn run_arm(
                 cache_hits: out.cache_hits,
                 cache_misses: out.cache_misses,
                 repr: out.repr,
-                raced: false,
             })
         }
     }
 }
 
-/// The strict representation a *fixed or explicitly raced* DP arm runs
-/// under; the Auto policy instead keeps the service's configured ladder
-/// (so e.g. a sparse probe can still fall back to paged) and only labels
-/// the arm from the prediction.
-fn strict_override(arm: Arm) -> Option<ReprPolicy> {
-    match arm {
-        Arm::DenseDp => Some(ReprPolicy::DenseOnly),
-        Arm::SparseDp => Some(ReprPolicy::SparseOnly),
-        _ => None,
-    }
+/// Runs a heuristic arm: LPT-revisited for [`Arm::LptRev`], MULTIFIT
+/// otherwise.
+fn run_heuristic(arm: Arm, inst: &Instance) -> PortfolioOutcome {
+    let (schedule, guarantee) = if arm == Arm::LptRev {
+        let r = lpt_revisited(inst);
+        (r.schedule, r.guarantee)
+    } else {
+        multifit_with_guarantee(inst, MULTIFIT_ITERS)
+    };
+    PortfolioOutcome::heuristic(inst, schedule, arm, guarantee)
 }
 
 /// The heuristic safety net: the best of LPT-revisited and MULTIFIT,
@@ -489,20 +367,13 @@ fn strict_override(arm: Arm) -> Option<ReprPolicy> {
 /// below [`TIGHT_BUDGET_US`], a *single* heuristic picked by the time
 /// CV (skewed times → LPT-revisited, near-uniform → MULTIFIT) so even
 /// the net respects the deadline. Ties prefer LPT-revisited, whose
-/// certificate is tighter.
-fn heuristic_net(
+/// certificate is tighter. Each heuristic run is timed into `counters`.
+pub(crate) fn heuristic_net(
     inst: &Instance,
     budget_us: Option<u64>,
-    k: u64,
-    opts: &SolverOptions,
-    cache: &DpCache,
-    warm: Option<&WarmTier>,
     counters: &PortfolioCounters,
 ) -> PortfolioOutcome {
-    let run = |arm: Arm| {
-        run_timed(arm, None, inst, k, opts, cache, warm, None, counters)
-            .expect("heuristic arms never fail")
-    };
+    let run = |arm: Arm| counters.time_run(arm, || run_heuristic(arm, inst));
     if budget_us.is_some_and(|b| b < TIGHT_BUDGET_US) {
         let arm = if crate::solver::cv_pct(inst) >= CV_SPLIT_PCT {
             Arm::LptRev
@@ -534,167 +405,43 @@ pub fn solve_portfolio(
     policy: PortfolioPolicy,
     counters: &PortfolioCounters,
 ) -> PortfolioOutcome {
-    let budget_us = deadline.map(|d| {
-        d.saturating_duration_since(Instant::now())
-            .as_micros()
-            .min(u64::MAX as u128) as u64
-    });
-    let net = |counters: &PortfolioCounters| {
-        heuristic_net(inst, budget_us, k, opts, cache, warm, counters)
+    let budget_us = deadline.map(|d| micros(d.saturating_duration_since(Instant::now())));
+    // The one fallback: the picked arm answers, or — when it fails —
+    // the heuristic net does, flagged `degraded`.
+    let run_or_net = |arm: Arm| {
+        counters.note_chosen(arm);
+        let answer = counters
+            .time_run(arm, || run_arm(arm, inst, k, opts, cache, warm, deadline))
+            .unwrap_or_else(|_| PortfolioOutcome {
+                degraded: true,
+                ..heuristic_net(inst, budget_us, counters)
+            });
+        counters.note_won(answer.arm);
+        answer
     };
-    match policy {
-        PortfolioPolicy::Fixed(arm) => {
-            counters.note_chosen(arm);
-            match run_timed(
-                arm,
-                strict_override(arm),
-                inst,
-                k,
-                opts,
-                cache,
-                warm,
-                deadline,
-                counters,
-            ) {
-                Ok(ans) => {
-                    counters.note_won(ans.arm);
-                    ans
-                }
-                Err(_) => {
-                    let mut fb = net(counters);
-                    fb.degraded = true;
-                    counters.note_won(fb.arm);
-                    fb
-                }
+    let arm = match policy {
+        PortfolioPolicy::Fixed(arm) => arm,
+        PortfolioPolicy::Auto => match select(&probe_features(inst, k, opts), budget_us) {
+            Selection::Exact => Arm::Exact,
+            Selection::Dp => Arm::Ptas,
+            Selection::Uniform => {
+                let mut ans = run_or_net(Arm::LptRev);
+                // All times equal: LPT's ⌈n/m⌉·t load is the
+                // pigeonhole optimum, so the certificate is exact.
+                ans.guarantee = Guarantee::EXACT;
+                return ans;
             }
-        }
-        PortfolioPolicy::Race(a, b) => {
-            counters.note_chosen(a);
-            let (ra, rb) = rayon::join(
-                || run_timed(a, strict_override(a), inst, k, opts, cache, warm, deadline, counters),
-                || run_timed(b, strict_override(b), inst, k, opts, cache, warm, deadline, counters),
-            );
-            match (ra, rb) {
-                (Ok(mut ans), _) => {
-                    counters.note_race(true);
-                    counters.note_won(ans.arm);
-                    ans.raced = true;
-                    ans
-                }
-                (Err(_), Ok(mut ans)) => {
-                    counters.note_race(false);
-                    counters.note_won(ans.arm);
-                    ans.raced = true;
-                    ans.degraded = true;
-                    ans
-                }
-                (Err(_), Err(_)) => {
-                    counters.note_race(false);
-                    let mut fb = net(counters);
-                    fb.raced = true;
-                    fb.degraded = true;
-                    counters.note_won(fb.arm);
-                    fb
-                }
+            Selection::HeuristicOnly => {
+                let mut fb = heuristic_net(inst, budget_us, counters);
+                // No viable primary: the pick *is* the net's winner.
+                counters.note_chosen(fb.arm);
+                counters.note_won(fb.arm);
+                fb.degraded = true;
+                return fb;
             }
-        }
-        PortfolioPolicy::Auto => {
-            let features = probe_features(inst, k, opts);
-            match select(&features, budget_us) {
-                Selection::Exact => {
-                    counters.note_chosen(Arm::Exact);
-                    match run_timed(
-                        Arm::Exact,
-                        None,
-                        inst,
-                        k,
-                        opts,
-                        cache,
-                        warm,
-                        deadline,
-                        counters,
-                    ) {
-                        Ok(ans) => {
-                            counters.note_won(Arm::Exact);
-                            ans
-                        }
-                        Err(_) => {
-                            let mut fb = net(counters);
-                            fb.degraded = true;
-                            counters.note_won(fb.arm);
-                            fb
-                        }
-                    }
-                }
-                Selection::Uniform => {
-                    counters.note_chosen(Arm::LptRev);
-                    let mut ans = run_timed(
-                        Arm::LptRev,
-                        None,
-                        inst,
-                        k,
-                        opts,
-                        cache,
-                        warm,
-                        deadline,
-                        counters,
-                    )
-                    .expect("heuristic arms never fail");
-                    // All times equal: LPT's ⌈n/m⌉·t load is the
-                    // pigeonhole optimum, so the certificate is exact.
-                    ans.guarantee = Guarantee::EXACT;
-                    counters.note_won(Arm::LptRev);
-                    ans
-                }
-                Selection::Dp(arm) => {
-                    counters.note_chosen(arm);
-                    match run_timed(arm, None, inst, k, opts, cache, warm, deadline, counters) {
-                        Ok(ans) => {
-                            counters.note_won(ans.arm);
-                            ans
-                        }
-                        Err(_) => {
-                            let mut fb = net(counters);
-                            fb.degraded = true;
-                            counters.note_won(fb.arm);
-                            fb
-                        }
-                    }
-                }
-                Selection::RaceDp(arm) => {
-                    counters.note_chosen(arm);
-                    let (dp, hedge) = rayon::join(
-                        || run_timed(arm, None, inst, k, opts, cache, warm, deadline, counters),
-                        || net(counters),
-                    );
-                    match dp {
-                        Ok(mut ans) => {
-                            counters.note_race(true);
-                            counters.note_won(ans.arm);
-                            ans.raced = true;
-                            ans
-                        }
-                        Err(_) => {
-                            counters.note_race(false);
-                            let mut ans = hedge;
-                            ans.raced = true;
-                            ans.degraded = true;
-                            counters.note_won(ans.arm);
-                            ans
-                        }
-                    }
-                }
-                Selection::HeuristicOnly => {
-                    let mut fb = net(counters);
-                    // No viable primary: the pick *is* the net's winner.
-                    counters.note_chosen(fb.arm);
-                    counters.note_won(fb.arm);
-                    fb.degraded = true;
-                    fb
-                }
-            }
-        }
-    }
+        },
+    };
+    run_or_net(arm)
 }
 
 #[cfg(test)]
@@ -717,13 +464,14 @@ mod tests {
         for p in [
             PortfolioPolicy::Auto,
             PortfolioPolicy::Fixed(Arm::LptRev),
-            PortfolioPolicy::Fixed(Arm::SparseDp),
-            PortfolioPolicy::Race(Arm::DenseDp, Arm::Multifit),
+            PortfolioPolicy::Fixed(Arm::Ptas),
         ] {
             assert_eq!(p.to_string().parse::<PortfolioPolicy>().unwrap(), p);
         }
+        assert_eq!("fixed:ptas".parse(), Ok(PortfolioPolicy::Fixed(Arm::Ptas)));
         assert!("fixed:gpu".parse::<PortfolioPolicy>().is_err());
-        assert!("race:dense".parse::<PortfolioPolicy>().is_err());
+        assert!("fixed:dense".parse::<PortfolioPolicy>().is_err());
+        assert!("race:ptas,multifit".parse::<PortfolioPolicy>().is_err());
         assert!("never".parse::<PortfolioPolicy>().is_err());
     }
 
@@ -775,6 +523,41 @@ mod tests {
     }
 
     #[test]
+    fn auto_pages_over_budget_probes_under_the_ptas_arm() {
+        let dir =
+            std::env::temp_dir().join(format!("pcmax-portfolio-pages-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let (cache, counters) = fresh();
+        // The cell budget sits below the sparse estimate and a pages
+        // directory exists, so the representation plan pages every
+        // probe; the portfolio attributes them to the one PTAS arm.
+        let inst = uniform(2, 12, 6, 50, 100);
+        let opts = SolverOptions {
+            max_table_cells: 8,
+            pages_dir: Some(dir.clone()),
+            pages_budget: pcmax_store::StoreBudget::bytes(1 << 10),
+            ..seq()
+        };
+        let out = solve_portfolio(
+            &inst,
+            6,
+            &opts,
+            &cache,
+            None,
+            None,
+            PortfolioPolicy::Auto,
+            &counters,
+        );
+        assert_eq!(out.arm, Arm::Ptas);
+        assert!(!out.degraded);
+        assert!(out.repr.paged > 0, "probes must page: {:?}", out.repr);
+        out.schedule.validate(&inst).unwrap();
+        assert_eq!(counters.report().arms[Arm::Ptas.idx()].won, 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn auto_uniform_times_short_circuit_to_lpt() {
         let (cache, counters) = fresh();
         let inst = Instance::new(vec![7; 30], 4);
@@ -821,7 +604,7 @@ mod tests {
     #[test]
     fn fixed_arm_runs_that_arm() {
         let inst = uniform(4, 24, 3, 1, 50);
-        for arm in [Arm::LptRev, Arm::Multifit, Arm::DenseDp, Arm::SparseDp] {
+        for arm in [Arm::LptRev, Arm::Multifit, Arm::Ptas] {
             let (cache, counters) = fresh();
             let out = solve_portfolio(
                 &inst,
@@ -865,59 +648,6 @@ mod tests {
     }
 
     #[test]
-    fn explicit_race_prefers_the_primary_and_counts_it() {
-        let (cache, counters) = fresh();
-        let inst = uniform(6, 24, 3, 1, 50);
-        let out = solve_portfolio(
-            &inst,
-            4,
-            &seq(),
-            &cache,
-            None,
-            None,
-            PortfolioPolicy::Race(Arm::DenseDp, Arm::Multifit),
-            &counters,
-        );
-        assert!(out.raced);
-        assert_eq!(out.arm, Arm::DenseDp);
-        assert!(!out.degraded);
-        let report = counters.report();
-        assert_eq!(report.races, 1);
-        assert_eq!(report.race_primary_wins, 1);
-        assert_eq!(report.race_racer_wins, 0);
-        // Both arms executed exactly once.
-        assert_eq!(report.arms[Arm::DenseDp.idx()].runs, 1);
-        assert_eq!(report.arms[Arm::Multifit.idx()].runs, 1);
-    }
-
-    #[test]
-    fn race_with_dead_primary_returns_the_racer() {
-        let (cache, counters) = fresh();
-        let inst = uniform(7, 24, 3, 1, 50);
-        let past = Instant::now() - Duration::from_millis(1);
-        let out = solve_portfolio(
-            &inst,
-            4,
-            &seq(),
-            &cache,
-            None,
-            Some(past),
-            PortfolioPolicy::Race(Arm::DenseDp, Arm::Multifit),
-            &counters,
-        );
-        assert!(out.raced);
-        assert!(out.degraded);
-        assert_eq!(out.arm, Arm::Multifit);
-        // The racer's value equals a standalone MULTIFIT run: racing
-        // never invents values.
-        let (mf, _) = multifit_with_guarantee(&inst, MULTIFIT_ITERS);
-        assert_eq!(out.makespan, mf.makespan(&inst));
-        let report = counters.report();
-        assert_eq!(report.races, 1);
-        assert_eq!(report.race_racer_wins, 1);
-    }
-
-    #[test]
     fn guarantees_are_certified_against_the_oracle() {
         for seed in 0..6 {
             let inst = uniform(40 + seed, 11, 3, 1, 40);
@@ -926,8 +656,7 @@ mod tests {
                 PortfolioPolicy::Auto,
                 PortfolioPolicy::Fixed(Arm::LptRev),
                 PortfolioPolicy::Fixed(Arm::Multifit),
-                PortfolioPolicy::Fixed(Arm::DenseDp),
-                PortfolioPolicy::Fixed(Arm::SparseDp),
+                PortfolioPolicy::Fixed(Arm::Ptas),
             ] {
                 let (cache, counters) = fresh();
                 let out = solve_portfolio(

@@ -6,21 +6,20 @@
 //! the service sheds load at the door rather than letting latency grow
 //! unbounded). A worker drains a batch, groups it by the rounding
 //! parameter `k` so consecutive solves share cache keys, and answers each
-//! request through the [`crate::portfolio`] — a feature-driven pick over
-//! exact / DP / heuristic arms that may *race* two arms when the cost
-//! prediction is marginal. A request whose deadline expires (or whose DP
-//! table would blow the cell budget) is *not* an error: it degrades to
-//! the heuristic safety net and the response says so, carrying the
-//! [`pcmax_core::Guarantee`] of the arm that actually answered.
+//! request through the [`crate::portfolio`] — a feature-driven pick of
+//! one exact / PTAS / heuristic arm. A request whose deadline expires
+//! (or whose DP table would blow the cell budget) is *not* an error: it
+//! degrades to the heuristic safety net and the response says so,
+//! carrying the [`pcmax_core::Guarantee`] of the arm that actually
+//! answered.
 
-use crate::portfolio::{solve_portfolio, PortfolioCounters, PortfolioPolicy, MULTIFIT_ITERS};
+use crate::portfolio::{heuristic_net, solve_portfolio, PortfolioCounters, PortfolioPolicy};
 use crate::solver::{DpCache, ReprPolicy, SolverOptions};
 use crate::stats::{
     EngineUsed, HealthReply, ImproveReport, ReprReport, RequestStats, ServeMetrics, ServiceReport,
     StoreReport,
 };
 use crate::warm::WarmTier;
-use pcmax_core::heuristics::{lpt_revisited, multifit_with_guarantee};
 use pcmax_core::{Guarantee, Instance, Schedule};
 use pcmax_improve::{ImproveConfig, ImproveMode};
 use pcmax_ptas::DpEngine;
@@ -75,8 +74,7 @@ pub struct ServeConfig {
     /// pre-cluster behaviour).
     pub io_timeout: Option<Duration>,
     /// How the per-request solver arm is picked: feature-driven
-    /// [`PortfolioPolicy::Auto`] (the default), one pinned arm, or an
-    /// explicit two-arm race.
+    /// [`PortfolioPolicy::Auto`] (the default) or one pinned arm.
     pub portfolio: PortfolioPolicy,
     /// Anytime improver applied after the solve: off (default), greedy
     /// move/swap descent, or descent + island GA. The improver spends
@@ -738,20 +736,14 @@ impl Drop for Service {
     }
 }
 
-/// The degradation answer: the better of LPT-revisited and MULTIFIT
-/// (both are cheap enough for an already-late request), with the
-/// certified guarantee of whichever arm won. Ties prefer LPT-revisited,
-/// whose certificate is tighter. Used by the cluster coordinator's
-/// local-fallback path; the service itself degrades through
-/// [`crate::portfolio`]'s equivalent safety net.
+/// The degradation answer: the portfolio's heuristic safety net with
+/// no budget limit — the better of LPT-revisited and MULTIFIT (ties go
+/// to LPT-revisited), with the certified guarantee of whichever arm
+/// won. Used by the cluster coordinator's local-fallback path and to
+/// seed `pcmax improve`; no service's [`ServiceReport`] counts its runs.
 pub fn heuristic_best(inst: &Instance) -> (Schedule, EngineUsed, Guarantee) {
-    let rev = lpt_revisited(inst);
-    let (by_multifit, multifit_guarantee) = multifit_with_guarantee(inst, MULTIFIT_ITERS);
-    if by_multifit.makespan(inst) < rev.schedule.makespan(inst) {
-        (by_multifit, EngineUsed::Multifit, multifit_guarantee)
-    } else {
-        (rev.schedule, EngineUsed::LptRev, rev.guarantee)
-    }
+    let net = heuristic_net(inst, None, &PortfolioCounters::default());
+    (net.schedule, net.engine, net.guarantee)
 }
 
 #[cfg(test)]

@@ -231,8 +231,7 @@ impl StoreReport {
 /// One portfolio arm's lifetime counters inside a [`PortfolioReport`].
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ArmReport {
-    /// Wire name of the arm (`lptrev`, `multifit`, `exact`, `dense`,
-    /// `sparse`).
+    /// Wire name of the arm (`lptrev`, `multifit`, `exact`, `ptas`).
     pub arm: String,
     /// Requests for which the selector picked this arm up front (for
     /// heuristic safety-net answers the pick *is* the winning arm, so
@@ -240,49 +239,26 @@ pub struct ArmReport {
     pub chosen: u64,
     /// Requests this arm's answer was returned for.
     pub won: u64,
-    /// Times the arm actually executed — includes race losers and
-    /// safety-net runs, so `runs ≥ won`.
+    /// Times the arm actually executed — includes picks that failed
+    /// over to the safety net and the net's losing heuristic, so
+    /// `runs ≥ won`.
     pub runs: u64,
     /// Wall-clock per execution, in µs (empty unless `pcmax_obs`
     /// recording was enabled; `count` equals `runs` while enabled).
     pub latency_us: HistogramSnapshot,
 }
 
-/// Portfolio-selector telemetry: per-arm pick/win/run counts and race
-/// outcomes. All-zero when the service runs a fixed arm and it never
-/// loses.
+/// Portfolio-selector telemetry: per-arm pick/win/run counts.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct PortfolioReport {
     /// One entry per arm, in canonical arm order.
     pub arms: Vec<ArmReport>,
-    /// Requests where two arms raced on the rayon pool.
-    pub races: u64,
-    /// Races the primary (predicted-best) arm won.
-    pub race_primary_wins: u64,
-    /// Races the racer (hedge) arm won.
-    pub race_racer_wins: u64,
 }
 
 impl PortfolioReport {
-    /// Fraction of completed requests that raced two arms.
-    pub fn race_rate(&self, completed: u64) -> f64 {
-        if completed == 0 {
-            0.0
-        } else {
-            self.races as f64 / completed as f64
-        }
-    }
-
-    /// Writes the report as a JSON object into `w`. `completed` is the
-    /// service-wide completion count the race rate is measured against.
-    pub fn write_json(&self, completed: u64, w: &mut JsonWriter) {
-        w.begin_object()
-            .field_u64("races", self.races)
-            .field_u64("race_primary_wins", self.race_primary_wins)
-            .field_u64("race_racer_wins", self.race_racer_wins)
-            .field_f64("race_rate", self.race_rate(completed))
-            .key("arms")
-            .begin_object();
+    /// Writes the report as a JSON object into `w`.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object().key("arms").begin_object();
         for arm in &self.arms {
             w.key(&arm.arm)
                 .begin_object()
@@ -397,7 +373,7 @@ pub struct ServiceReport {
     pub repr: ReprReport,
     /// Anytime-improver run/win counts.
     pub improve: ImproveReport,
-    /// Portfolio-selector arm/race telemetry.
+    /// Portfolio-selector per-arm telemetry.
     pub portfolio: PortfolioReport,
     /// DP cache state.
     pub cache: CacheReport,
@@ -430,7 +406,7 @@ impl ServiceReport {
             .field_u64("improved", self.improve.improved)
             .end_object()
             .key("portfolio");
-        self.portfolio.write_json(self.completed, &mut w);
+        self.portfolio.write_json(&mut w);
         w.key("cache")
             .begin_object()
             .field_u64("hits", self.cache.hits)
@@ -522,9 +498,6 @@ mod tests {
                     runs: 4,
                     latency_us: HistogramSnapshot::default(),
                 }],
-                races: 2,
-                race_primary_wins: 1,
-                race_racer_wins: 1,
             },
             cache: CacheReport {
                 hits: 3,
@@ -570,8 +543,6 @@ mod tests {
         );
         assert!(json.contains("\"gap_ppm\":{\"count\":0"), "{json}");
         assert!(json.contains("\"improve_us\":{\"count\":0"), "{json}");
-        assert!(json.contains("\"races\":2"), "{json}");
-        assert!(json.contains("\"race_rate\":0.5"), "{json}");
         assert!(
             json.contains("\"lptrev\":{\"chosen\":3,\"won\":2,\"runs\":4"),
             "{json}"
@@ -623,13 +594,11 @@ mod tests {
         assert_eq!(report.cache.hit_rate(), 0.0);
         assert_eq!(report.store.disk_hit_rate(0), 0.0);
         assert_eq!(report.store.prefetch_hit_rate(), 0.0);
-        assert_eq!(report.portfolio.race_rate(0), 0.0);
         let json = report.to_json();
         assert!(json.contains("\"hit_rate\":0"), "{json}");
         assert!(json.contains("\"ram_hit_rate\":0"), "{json}");
         assert!(json.contains("\"disk_hit_rate\":0"), "{json}");
         assert!(json.contains("\"prefetch_hit_rate\":0"), "{json}");
-        assert!(json.contains("\"race_rate\":0"), "{json}");
         assert!(!json.contains("null"), "rate field decayed to null: {json}");
         assert!(!json.contains("NaN"), "{json}");
     }

@@ -29,12 +29,6 @@
 //! bytes outweigh live ones, the live records are rewritten (original
 //! seqs preserved) into a new generation file and the manifest is
 //! atomically renamed over to point at it.
-//!
-//! Format v1 (`pcmax-warm v1`, 16-byte headers, no seq, first write
-//! wins) is still readable: a v1 directory is scanned with the old
-//! layout — v1 appends skipped duplicate keys so no key appears twice —
-//! assigned ordinal seqs, and immediately compacted into a v2
-//! generation file.
 
 use crate::page::fnv1a;
 use crate::StoreError;
@@ -47,10 +41,6 @@ use std::sync::Mutex;
 
 /// First line of a current-format manifest.
 pub const WARM_MAGIC: &str = "pcmax-warm v2";
-/// First line of a legacy (pre-seq, first-write-wins) manifest.
-pub const WARM_MAGIC_V1: &str = "pcmax-warm v1";
-const LOG_NAME_V1: &str = "warm.log";
-const RECORD_HEADER_V1: usize = 16;
 const RECORD_HEADER: usize = 24;
 /// Logs smaller than this never compact — rewriting a few KiB buys
 /// nothing and the floor keeps unit-test logs deterministic.
@@ -112,24 +102,18 @@ fn record_checksum(seq: u64, key: &[u8], value: &[u8]) -> u64 {
 impl WarmLog {
     /// Opens (creating if needed) a warm-log directory, validates the
     /// manifest, and re-indexes the append log. The number of records
-    /// recovered is reported as `store.rehydrated`. A legacy v1 log is
-    /// read with the old layout and upgraded in place.
+    /// recovered is reported as `store.rehydrated`.
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self, StoreError> {
         let dir = dir.into();
         fs::create_dir_all(&dir).map_err(|e| StoreError::io(&dir, e))?;
         let manifest = dir.join("MANIFEST");
-        let mut legacy = false;
         let mut log_name = "warm.0.log".to_string();
         if manifest.exists() {
             let text = fs::read_to_string(&manifest).map_err(|e| StoreError::io(&manifest, e))?;
-            match text.lines().next() {
-                Some(WARM_MAGIC) => {}
-                Some(WARM_MAGIC_V1) => legacy = true,
-                _ => {
-                    return Err(StoreError::Corrupt {
-                        detail: format!("bad warm manifest at {}", manifest.display()),
-                    });
-                }
+            if text.lines().next() != Some(WARM_MAGIC) {
+                return Err(StoreError::Corrupt {
+                    detail: format!("bad warm manifest at {}", manifest.display()),
+                });
             }
             if let Some(name) = text
                 .lines()
@@ -137,8 +121,6 @@ impl WarmLog {
                 .map(str::trim)
             {
                 log_name = name.to_string();
-            } else if legacy {
-                log_name = LOG_NAME_V1.to_string();
             }
         } else {
             fs::write(&manifest, format!("{WARM_MAGIC}\nlog {log_name}\n"))
@@ -152,11 +134,7 @@ impl WarmLog {
             .create(true)
             .open(&log_path)
             .map_err(|e| StoreError::io(&log_path, e))?;
-        let scanned = if legacy {
-            Self::scan_v1(&mut file, &log_path)?
-        } else {
-            Self::scan(&mut file, &log_path)?
-        };
+        let scanned = Self::scan(&mut file, &log_path)?;
         let actual_len = file
             .metadata()
             .map_err(|e| StoreError::io(&log_path, e))?
@@ -171,7 +149,7 @@ impl WarmLog {
         pcmax_obs::registry::global()
             .counter("store.rehydrated")
             .add(rehydrated);
-        let log = Self {
+        Ok(Self {
             dir,
             inner: Mutex::new(WarmInner {
                 index: scanned.index,
@@ -186,14 +164,7 @@ impl WarmLog {
             hits: AtomicU64::new(0),
             appends: AtomicU64::new(0),
             compactions: AtomicU64::new(0),
-        };
-        if legacy {
-            // Upgrade: rewrite the v1 records as v2 and swap the
-            // manifest, so every later open takes the fast path.
-            let mut inner = log.inner.lock().expect("warm lock");
-            log.compact_locked(&mut inner)?;
-        }
-        Ok(log)
+        })
     }
 
     fn parse_gen(log_name: &str) -> u64 {
@@ -204,7 +175,7 @@ impl WarmLog {
             .unwrap_or(0)
     }
 
-    /// Front-to-back v2 log scan; stops at the first bad record. Later
+    /// Front-to-back log scan; stops at the first bad record. Later
     /// records for a key shadow earlier ones (last write wins).
     fn scan(file: &mut File, path: &Path) -> Result<Scanned, StoreError> {
         let mut bytes = Vec::new();
@@ -243,52 +214,6 @@ impl WarmLog {
             max_seq = max_seq.max(seq);
             at = end;
         }
-        Ok(Scanned {
-            index,
-            valid_len: at as u64,
-            live_bytes,
-            max_seq,
-        })
-    }
-
-    /// Legacy v1 scan (16-byte headers, no seq): ordinal seqs are
-    /// assigned in scan order. v1 appends skipped already-indexed keys,
-    /// so no key appears twice on disk.
-    fn scan_v1(file: &mut File, path: &Path) -> Result<Scanned, StoreError> {
-        let mut bytes = Vec::new();
-        file.seek(SeekFrom::Start(0))
-            .and_then(|_| file.read_to_end(&mut bytes))
-            .map_err(|e| StoreError::io(path, e))?;
-        let mut index: HashMap<Vec<u8>, IndexEntry> = HashMap::new();
-        let mut max_seq = 0u64;
-        let mut at = 0usize;
-        while bytes.len() - at >= RECORD_HEADER_V1 {
-            let klen = u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4")) as usize;
-            let vlen = u32::from_le_bytes(bytes[at + 4..at + 8].try_into().expect("4")) as usize;
-            let checksum = u64::from_le_bytes(bytes[at + 8..at + 16].try_into().expect("8"));
-            let body = at + RECORD_HEADER_V1;
-            let Some(end) = body.checked_add(klen).and_then(|k| k.checked_add(vlen)) else {
-                break;
-            };
-            if end > bytes.len() || fnv1a(&bytes[body..end]) != checksum {
-                break;
-            }
-            let key = bytes[body..body + klen].to_vec();
-            max_seq += 1;
-            index.entry(key).or_insert(IndexEntry {
-                seq: max_seq,
-                offset: (body + klen) as u64,
-                vlen: vlen as u32,
-            });
-            at = end;
-        }
-        // live_bytes is only used to decide compaction; the upgrade
-        // compacts unconditionally, so an estimate in the new frame
-        // size is fine.
-        let live_bytes = index
-            .iter()
-            .map(|(k, e)| frame_len(k.len(), e.vlen as usize))
-            .sum();
         Ok(Scanned {
             index,
             valid_len: at as u64,
@@ -682,47 +607,14 @@ mod tests {
     fn foreign_manifest_is_rejected() {
         let dir = tmp_dir("manifest");
         fs::create_dir_all(&dir).unwrap();
-        fs::write(dir.join("MANIFEST"), "something else\n").unwrap();
-        assert!(matches!(
-            WarmLog::open(&dir),
-            Err(StoreError::Corrupt { .. })
-        ));
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn legacy_v1_log_is_read_and_upgraded() {
-        let dir = tmp_dir("v1");
-        fs::create_dir_all(&dir).unwrap();
-        fs::write(
-            dir.join("MANIFEST"),
-            format!("{WARM_MAGIC_V1}\nlog {LOG_NAME_V1}\n"),
-        )
-        .unwrap();
-        // Hand-build a v1 log: u32 klen · u32 vlen · u64 fnv1a(key‖val).
-        let mut bytes = Vec::new();
-        for (k, v) in [(&b"old1"[..], &b"a"[..]), (&b"old2"[..], &b"bb"[..])] {
-            bytes.extend_from_slice(&(k.len() as u32).to_le_bytes());
-            bytes.extend_from_slice(&(v.len() as u32).to_le_bytes());
-            let mut body = k.to_vec();
-            body.extend_from_slice(v);
-            bytes.extend_from_slice(&fnv1a(&body).to_le_bytes());
-            bytes.extend_from_slice(&body);
+        // A v1 (pre-seq) manifest is as foreign as any other.
+        for manifest in ["something else\n", "pcmax-warm v1\nlog warm.log\n"] {
+            fs::write(dir.join("MANIFEST"), manifest).unwrap();
+            assert!(
+                matches!(WarmLog::open(&dir), Err(StoreError::Corrupt { .. })),
+                "{manifest:?}"
+            );
         }
-        fs::write(dir.join(LOG_NAME_V1), &bytes).unwrap();
-        let log = WarmLog::open(&dir).unwrap();
-        assert_eq!(log.rehydrated(), 2);
-        assert_eq!(log.get(b"old1").unwrap().unwrap(), b"a");
-        assert_eq!(log.get(b"old2").unwrap().unwrap(), b"bb");
-        assert_eq!(log.seq_of(b"old1"), Some(1));
-        assert_eq!(log.compactions(), 1, "upgrade rewrote to v2");
-        // The manifest now points at a v2 generation, v1 file is gone.
-        let manifest = fs::read_to_string(dir.join("MANIFEST")).unwrap();
-        assert!(manifest.starts_with(WARM_MAGIC));
-        assert!(!dir.join(LOG_NAME_V1).exists());
-        let reopened = WarmLog::open(&dir).unwrap();
-        assert_eq!(reopened.rehydrated(), 2);
-        assert_eq!(reopened.get(b"old2").unwrap().unwrap(), b"bb");
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -145,8 +145,9 @@ test -s target/AUDIT.json
 test -s target/AUDIT_sparse.json
 
 # Portfolio gauntlet: the same 64 seeds filtered to the solver-portfolio
-# checks — every arm pinned, auto, and raced on every adversarial case,
-# with each answer's guarantee certificate re-proved in u128.
+# checks — auto and every arm pinned (the ptas arm also under forced
+# dense and sparse tables) on every adversarial case, with each answer's
+# guarantee certificate re-proved in u128.
 ./target/release/pcmax audit --seeds 64 --engine portfolio \
   --out target/AUDIT_portfolio.json
 test -s target/AUDIT_portfolio.json

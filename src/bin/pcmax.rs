@@ -74,7 +74,7 @@ USAGE:
                       [--deadline-ms N] [--epsilon F] [--engine seq|par|blockedN]
                       [--repr auto|dense|sparse] [--mem-budget BYTES] [--store-dir DIR]
                       [--max-cells N] [--pages-budget BYTES]
-                      [--portfolio auto|fixed:ARM|race:ARM,ARM]
+                      [--portfolio auto|fixed:ARM]
                       [--improve off|greedy|ga[:I,P]] [--improve-budget-us N]
   pcmax improve FILE|- [--improve greedy|ga[:I,P]] [--improve-budget-us N]
                       [--seed N] [--eval rayon|warp]
@@ -83,7 +83,7 @@ USAGE:
                       [--repr auto|dense|sparse] [--mem-budget BYTES]
                       [--store-dir DIR] [--max-cells N] [--pages-budget BYTES]
                       [--out FILE]
-                      [--portfolio auto|fixed:ARM|race:ARM,ARM] [--gate-portfolio]
+                      [--portfolio auto|fixed:ARM] [--gate-portfolio]
                       [--improve off|greedy|ga[:I,P]] [--improve-budget-us N]
                       [--gate-improve]
   pcmax bench-sparse  [--seed N] [--jobs N] [--machines N] [--k N]
@@ -150,9 +150,12 @@ dense differential. `--mem-budget` accepts `4096`, `64K`, `16M`, or `1G`;
 `--store-dir` on `serve`/`cluster`/`bench-serve` enables the persistent
 warm-start log (cluster workers get per-worker subdirectories).
 `--portfolio` picks the per-request solver arm: `auto` (feature-driven
-selection with racing on marginal cost predictions), `fixed:ARM` (pin
-one arm), or `race:A,B` (always race two). ARM is one of lptrev,
-multifit, exact, dense, sparse. `--gate-portfolio` on `bench-serve`
+selection) or `fixed:ARM` (pin one arm). ARM is one of lptrev,
+multifit, exact, ptas; the ptas arm's tables follow `--repr`, so
+`--repr dense --portfolio fixed:ptas` pins the dense PTAS. A picked
+arm that fails falls back to the heuristic net (the better of lptrev
+and multifit, or one of them when under 200 µs remain), flagged
+degraded. `--gate-portfolio` on `bench-serve`
 reruns the workload once per fixed arm and exits non-zero if the auto
 policy's mean latency exceeds the *worst* fixed arm's — the selector
 must never cost more than naively pinning the wrong arm. `--improve` on
@@ -1113,19 +1116,12 @@ fn cmd_bench_serve(args: &[String]) -> Result<(), String> {
         "improve       {} runs, {} improved the portfolio answer",
         report.improve.runs, report.improve.improved
     );
-    println!(
-        "portfolio     {} races ({} primary wins, {} racer wins, {:.1}% race rate)",
-        report.portfolio.races,
-        report.portfolio.race_primary_wins,
-        report.portfolio.race_racer_wins,
-        report.portfolio.race_rate(report.completed) * 100.0
-    );
     for arm in &report.portfolio.arms {
         if arm.runs == 0 {
             continue;
         }
         println!(
-            "  {:<9}   chosen {}, won {}, runs {}, p50 {}us, p99 {}us",
+            "portfolio     {:<9} chosen {}, won {}, runs {}, p50 {}us, p99 {}us",
             arm.arm,
             arm.chosen,
             arm.won,
@@ -1158,40 +1154,8 @@ fn cmd_bench_serve(args: &[String]) -> Result<(), String> {
         .field_u64("mean", outcome.mean_gap_ppm())
         .field_u64("p99", outcome.p99_gap_ppm())
         .end_object()
-        // Per-tier effectiveness: how often the RAM cache answered, how
-        // often the warm disk tier rescued a RAM miss, and what a disk
-        // fault costs.
-        .key("tiers")
-        .begin_object()
-        .field_f64("ram_hit_rate", report.cache.hit_rate())
-        .field_f64(
-            "disk_hit_rate",
-            report.store.disk_hit_rate(report.cache.misses),
-        )
-        .field_u64("disk_hits", report.store.disk_hits)
-        .field_u64("pressure_pct", report.store.pressure_pct)
-        // Paged-probe overlap effectiveness: what fraction of page-table
-        // traffic the background prefetch stream answered without a
-        // compute-path stall (0, never NaN, when no probe paged).
-        .field_u64("paged_faults", report.store.paged_faults)
-        .field_u64("prefetch_issued", report.store.prefetch_issued)
-        .field_u64("prefetch_hits", report.store.prefetch_hits)
-        .field_u64("writebehind_writes", report.store.writebehind_writes)
-        .field_f64("prefetch_hit_rate", report.store.prefetch_hit_rate())
-        .key("fault_us");
-    report.store.fault_us.write_json(&mut w);
-    w.key("overlap_us");
-    report.store.overlap_us.write_json(&mut w);
-    w.end_object()
-        // Which representation each cache-missing probe actually ran
-        // under the `--repr` policy, plus the sparse engine's frontier
-        // behaviour across the whole run (global registry snapshot).
-        .key("repr")
-        .begin_object()
-        .field_u64("dense_probes", report.repr.dense_probes)
-        .field_u64("sparse_probes", report.repr.sparse_probes)
-        .field_u64("paged_probes", report.repr.paged_probes)
-        .end_object()
+        // The sparse engine's frontier behaviour across the whole run
+        // (global registry snapshot).
         .key("sparse")
         .begin_object()
         .field_u64("solves", reg.counter("sparse.solves").get())
@@ -1262,16 +1226,17 @@ fn gate_improve(
 /// jitter) is a regression. The `exact` arm is skipped — it declines
 /// instances above its hard job cap and the default workload is larger.
 fn gate_portfolio(args: &[String], load: BenchServeLoad, auto_mean: Duration) -> Result<(), String> {
+    use pcmax::serve::{Arm, PortfolioPolicy};
     let mut worst_fixed = Duration::ZERO;
     let mut worst_arm = "";
-    for arm in ["lptrev", "multifit", "dense", "sparse"] {
+    for arm in Arm::ALL.into_iter().filter(|&arm| arm != Arm::Exact) {
         let mut config = serve_config_from_flags(args)?;
-        config.portfolio = format!("fixed:{arm}").parse()?;
+        config.portfolio = PortfolioPolicy::Fixed(arm);
         let mean = bench_serve_run(config, load)?.mean_latency();
-        eprintln!("gate: fixed:{arm:<9} mean {mean:.1?}");
+        eprintln!("gate: fixed:{:<9} mean {mean:.1?}", arm.name());
         if mean > worst_fixed {
             worst_fixed = mean;
-            worst_arm = arm;
+            worst_arm = arm.name();
         }
     }
     // Lenient threshold: loopback latencies at this scale are noisy, and
