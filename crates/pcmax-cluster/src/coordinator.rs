@@ -1,4 +1,4 @@
-//! The cluster coordinator: rendezvous routing, worker lifecycle, and
+//! The cluster coordinator: rendezvous routing, worker membership, and
 //! the request degradation ladder.
 //!
 //! Life of a request ([`Coordinator::solve`]): canonicalise to a
@@ -9,7 +9,7 @@
 //! coordinator never surfaces a transport error to its client. Only
 //! genuinely invalid requests (ε outside `(0, 1]`) are rejected.
 //!
-//! Lifecycle: workers register with [`Coordinator::add_worker`] and
+//! Membership: workers register with [`Coordinator::add_worker`] and
 //! leave with [`Coordinator::remove_worker`]; rendezvous hashing makes
 //! both O(1) in disruption — no ring re-balancing, the membership change
 //! itself *is* the re-hash. A background heartbeat polls every worker's
@@ -19,7 +19,6 @@
 
 use crate::ring::{rendezvous_score, RouteKey};
 use crate::stats::{ClusterReport, ClusterStats, WorkerReport};
-use crate::sync::{ElasticPolicy, ElasticState, Lifecycle};
 use crate::worker::{WorkerNode, WorkerState};
 use pcmax_core::Instance;
 use pcmax_obs::TimelineEvent;
@@ -61,17 +60,13 @@ pub struct ClusterConfig {
     /// to workers with cache headroom first.
     pub pressure_threshold_pct: u64,
     /// Whether the warmsync engine runs: heartbeat-driven warm-log
-    /// replication, membership-change rebalance, and retirement drains.
+    /// replication and membership-change rebalance.
     /// See [`Coordinator::sync_warm`].
     pub warmsync: bool,
     /// Replication factor R: every warm entry is kept by its rendezvous
     /// primary plus the next `R − 1` successors for its key. `1` means
     /// no replication (rebalance still relays on membership changes).
     pub replication_factor: u32,
-    /// Elastic spawn/retire policy; `None` (the default) disables the
-    /// elastic lifecycle. Takes effect only once a
-    /// [`Lifecycle`] is registered via [`Coordinator::set_lifecycle`].
-    pub elastic: Option<ElasticPolicy>,
 }
 
 impl Default for ClusterConfig {
@@ -89,7 +84,6 @@ impl Default for ClusterConfig {
             pressure_threshold_pct: 90,
             warmsync: true,
             replication_factor: 2,
-            elastic: None,
         }
     }
 }
@@ -149,10 +143,6 @@ pub struct Coordinator {
     /// Sorted live ids seen by the previous sync round — the "before"
     /// side of the membership diff that triggers a rebalance.
     pub(crate) last_membership: Mutex<Vec<String>>,
-    /// How this deployment spawns/retires workers (elastic lifecycle).
-    pub(crate) lifecycle: Mutex<Option<Arc<dyn Lifecycle>>>,
-    /// Sustained-beat counters for the elastic policy.
-    pub(crate) elastic_state: Mutex<ElasticState>,
 }
 
 impl Coordinator {
@@ -171,15 +161,7 @@ impl Coordinator {
             heartbeat: Mutex::new(None),
             sync_lock: Mutex::new(()),
             last_membership: Mutex::new(Vec::new()),
-            lifecycle: Mutex::new(None),
-            elastic_state: Mutex::new(ElasticState::default()),
         })
-    }
-
-    /// Registers how this deployment spawns and retires workers,
-    /// arming the elastic policy (if one is configured).
-    pub fn set_lifecycle(&self, lifecycle: Arc<dyn Lifecycle>) {
-        *self.lifecycle.lock().expect("lifecycle poisoned") = Some(lifecycle);
     }
 
     /// The configuration the coordinator was created with.
@@ -203,8 +185,8 @@ impl Coordinator {
 
     /// Deregisters a worker; `None` if the id was unknown. Only the
     /// removed worker's keys remap. Returns the worker's last-known
-    /// state (pressure, warm seq, …) so operators — and the elastic
-    /// retire path — see what the fleet just lost.
+    /// state (pressure, warm seq, …) so operators see what the fleet
+    /// just lost.
     pub fn remove_worker(&self, id: &str) -> Option<WorkerState> {
         let mut workers = self.workers.write().expect("workers poisoned");
         let snapshot = workers.iter().find(|w| w.id == id).map(|w| w.state());
@@ -547,7 +529,6 @@ impl Coordinator {
             if self.config.warmsync {
                 let _ = self.sync_warm();
             }
-            self.elastic_step();
         }
     }
 
@@ -597,8 +578,6 @@ impl Coordinator {
             warm_push_rejected: self.stats.warm_push_rejected.get(),
             rebalance_events: self.stats.rebalance_events.get(),
             rebalance_keys_moved: self.stats.rebalance_keys_moved.get(),
-            elastic_spawns: self.stats.elastic_spawns.get(),
-            elastic_retires: self.stats.elastic_retires.get(),
             latency_us: self.stats.latency_us.snapshot(),
             ship_us: self.stats.ship_us.snapshot(),
             pull_us: self.stats.pull_us.snapshot(),

@@ -2,119 +2,57 @@
 //! protocol as `pcmax serve` — a cluster is a drop-in replacement for a
 //! single worker from the client's point of view.
 //!
-//! `std::net` only, mirroring `pcmax_serve::tcp`: one accept thread plus
-//! one detached thread per connection. `stats` answers with the
-//! aggregated [`crate::ClusterReport`] JSON instead of a single
-//! service's report.
+//! The listener is `pcmax_serve::tcp::serve_lines`, the same one a
+//! worker runs; this module is only the coordinator's verb dispatch.
+//! `stats` answers with the aggregated [`crate::ClusterReport`] JSON
+//! instead of a single service's report.
 
 use crate::coordinator::Coordinator;
 use pcmax_serve::proto::{self, Request};
-use pcmax_serve::HealthReply;
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use pcmax_serve::{serve_lines, HealthReply, TcpHandle};
+use std::net::ToSocketAddrs;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
-/// A running cluster front-end. Dropping it does NOT stop the listener;
-/// call [`ClusterTcpHandle::shutdown`].
-pub struct ClusterTcpHandle {
-    local_addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
-}
-
-impl ClusterTcpHandle {
-    /// The bound address (useful with port 0).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    /// Stops accepting connections and joins the accept thread.
-    /// Established connections finish their in-flight request and then
-    /// fail on the next one.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect(self.local_addr);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-    }
-}
+/// A running cluster front-end: the worker's [`TcpHandle`]. Dropping it
+/// does NOT stop the listener; call [`TcpHandle::shutdown`].
+pub type ClusterTcpHandle = TcpHandle;
 
 /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and serves
 /// the line protocol against `coordinator` until
-/// [`ClusterTcpHandle::shutdown`].
+/// [`TcpHandle::shutdown`].
 pub fn serve_cluster_tcp(
     coordinator: Arc<Coordinator>,
     addr: impl ToSocketAddrs,
 ) -> std::io::Result<ClusterTcpHandle> {
-    let listener = TcpListener::bind(addr)?;
-    let local_addr = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let accept_stop = Arc::clone(&stop);
-    let accept_thread = std::thread::Builder::new()
-        .name("pcmax-cluster-accept".into())
-        .spawn(move || {
-            for conn in listener.incoming() {
-                if accept_stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = conn else { continue };
-                let timeout = Some(coordinator.config().io_timeout);
-                let _ = stream.set_read_timeout(timeout);
-                let _ = stream.set_write_timeout(timeout);
-                let coord = Arc::clone(&coordinator);
-                let _ = std::thread::Builder::new()
-                    .name("pcmax-cluster-conn".into())
-                    .spawn(move || handle_connection(coord, stream));
-            }
-        })?;
-    Ok(ClusterTcpHandle {
-        local_addr,
-        stop,
-        accept_thread: Some(accept_thread),
-    })
+    let io_timeout = Some(coordinator.config().io_timeout);
+    serve_lines(addr, io_timeout, move |line| dispatch(&coordinator, line))
 }
 
-fn handle_connection(coordinator: Arc<Coordinator>, stream: TcpStream) {
-    let Ok(peer) = stream.try_clone() else { return };
-    let reader = BufReader::new(stream);
-    let mut writer = BufWriter::new(peer);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
+fn dispatch(coordinator: &Coordinator, line: &str) -> String {
+    match proto::parse_request(line) {
+        Ok(Request::Ping) => "pong".to_string(),
+        Ok(Request::Stats) => format!("stats {}", coordinator.report().to_json()),
+        Ok(Request::Health) => proto::format_health(&HealthReply {
+            uptime_us: coordinator.uptime().as_micros() as u64,
+            // The coordinator holds no queue, cache, byte budget, or
+            // warm log of its own; those live in the workers (see
+            // `stats`).
+            queue_depth: 0,
+            cache_entries: 0,
+            pressure_pct: 0,
+            warm_entries: 0,
+            warm_seq: 0,
+        }),
+        Ok(Request::Solve(req)) => match coordinator.solve(req) {
+            Ok(reply) => proto::format_response(&reply.response),
+            Err(e) => proto::format_error(&e.to_string()),
+        },
+        // Warm state is worker-local; the coordinator relays it
+        // internally but does not serve it. The `invalid request`
+        // prefix tells routers not to retry elsewhere.
+        Ok(Request::WarmDigest | Request::WarmPull { .. } | Request::WarmPush { .. }) => {
+            proto::format_error("invalid request: warm verbs address a worker, not the coordinator")
         }
-        let reply = match proto::parse_request(&line) {
-            Ok(Request::Ping) => "pong".to_string(),
-            Ok(Request::Stats) => format!("stats {}", coordinator.report().to_json()),
-            Ok(Request::Health) => proto::format_health(&HealthReply {
-                uptime_us: coordinator.uptime().as_micros() as u64,
-                // The coordinator holds no queue, cache, byte budget,
-                // or warm log of its own; those live in the workers
-                // (see `stats`).
-                queue_depth: 0,
-                cache_entries: 0,
-                pressure_pct: 0,
-                warm_entries: 0,
-                warm_seq: 0,
-            }),
-            Ok(Request::Solve(req)) => match coordinator.solve(req) {
-                Ok(reply) => proto::format_response(&reply.response),
-                Err(e) => proto::format_error(&e.to_string()),
-            },
-            // Warm state is worker-local; the coordinator relays it
-            // internally but does not serve it. The `invalid request`
-            // prefix tells routers not to retry elsewhere.
-            Ok(Request::WarmDigest | Request::WarmPull { .. } | Request::WarmPush { .. }) => {
-                proto::format_error("invalid request: warm verbs address a worker, not the coordinator")
-            }
-            Err(e) => proto::format_error(&e),
-        };
-        if writeln!(writer, "{reply}").and_then(|_| writer.flush()).is_err() {
-            break;
-        }
+        Err(e) => proto::format_error(&e),
     }
 }

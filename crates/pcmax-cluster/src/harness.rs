@@ -2,15 +2,11 @@
 //! real loopback TCP front-ends and a [`Coordinator`] routing over them.
 //! Everything runs in one process, so integration tests (and
 //! `pcmax bench-cluster`) can kill workers mid-load, join replacements,
-//! and inspect each worker's service directly. The harness also
-//! implements [`Lifecycle`], so the coordinator's elastic policy can
-//! spawn and retire in-process workers.
+//! and inspect each worker's service directly.
 
 use crate::coordinator::{ClusterConfig, Coordinator};
-use crate::sync::Lifecycle;
 use pcmax_serve::{serve_tcp, ServeConfig, Service, TcpHandle};
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 struct LocalWorker {
@@ -21,99 +17,35 @@ struct LocalWorker {
     tcp: Mutex<Option<TcpHandle>>,
 }
 
-/// The shareable worker set: the piece of the harness the coordinator
-/// holds (as its [`Lifecycle`]) without owning the coordinator back.
-struct LocalWorkers {
-    list: Mutex<Vec<Arc<LocalWorker>>>,
-    serve_config: ServeConfig,
-    next_id: AtomicUsize,
-}
-
-impl LocalWorkers {
-    /// Starts one worker: its own [`Service`] (with a per-worker store
-    /// subdirectory, so a restart or replacement rehydrates exactly its
-    /// own hot set) behind an ephemeral loopback TCP front-end.
-    fn start_worker(&self, id: &str) -> std::io::Result<Arc<LocalWorker>> {
-        // A shared store dir would have every worker appending to one
-        // warm log; give each worker its own subdirectory.
-        let mut config = self.serve_config.clone();
-        if let Some(base) = &self.serve_config.store_dir {
-            config.store_dir = Some(base.join(id));
-        }
-        let service = Service::start(config);
-        let tcp = serve_tcp(Arc::clone(&service), "127.0.0.1:0")?;
-        let worker = Arc::new(LocalWorker {
-            id: id.to_string(),
-            addr: tcp.local_addr(),
-            service: Mutex::new(Some(service)),
-            tcp: Mutex::new(Some(tcp)),
-        });
-        self.list.lock().expect("workers poisoned").push(Arc::clone(&worker));
-        Ok(worker)
-    }
-
-    fn kill_worker(&self, worker: &LocalWorker) {
-        let tcp = worker.tcp.lock().expect("tcp poisoned").take();
-        if let Some(handle) = tcp {
-            handle.shutdown();
-        }
-        let service = worker.service.lock().expect("service poisoned").take();
-        if let Some(service) = service {
-            service.shutdown();
-        }
-    }
-}
-
-impl Lifecycle for LocalWorkers {
-    fn spawn_worker(&self) -> Option<(String, SocketAddr)> {
-        let id = format!("worker-{}", self.next_id.fetch_add(1, Ordering::SeqCst));
-        self.start_worker(&id).ok().map(|w| (w.id.clone(), w.addr))
-    }
-
-    fn retire_worker(&self, id: &str) {
-        let worker = {
-            let list = self.list.lock().expect("workers poisoned");
-            list.iter().find(|w| w.id == id).cloned()
-        };
-        if let Some(worker) = worker {
-            self.kill_worker(&worker);
-        }
-    }
-}
-
 /// N loopback `pcmax-serve` workers plus a coordinator routing over
 /// them. Dropping the harness kills the workers and shuts the
 /// coordinator down.
 pub struct LocalCluster {
-    inner: Arc<LocalWorkers>,
+    workers: Mutex<Vec<Arc<LocalWorker>>>,
+    serve_config: ServeConfig,
     coordinator: Arc<Coordinator>,
 }
 
 impl LocalCluster {
     /// Starts `n` workers (ids `worker-0` … `worker-{n-1}`), each its
     /// own [`Service`] with `serve_config` on an ephemeral loopback
-    /// port, registers them, registers the harness as the coordinator's
-    /// [`Lifecycle`], and starts the heartbeat.
+    /// port, registers them, and starts the heartbeat.
     pub fn start(
         n: usize,
         serve_config: ServeConfig,
         cluster_config: ClusterConfig,
     ) -> std::io::Result<Self> {
         assert!(n > 0, "a cluster needs at least one worker");
-        let coordinator = Coordinator::new(cluster_config);
-        let inner = Arc::new(LocalWorkers {
-            list: Mutex::new(Vec::new()),
+        let cluster = Self {
+            workers: Mutex::new(Vec::new()),
             serve_config,
-            next_id: AtomicUsize::new(n),
-        });
-        for i in 0..n {
-            let id = format!("worker-{i}");
-            let worker = inner.start_worker(&id)?;
-            coordinator.add_worker(&id, worker.addr);
+            coordinator: Coordinator::new(cluster_config),
+        };
+        for _ in 0..n {
+            cluster.spawn()?;
         }
-        coordinator.set_lifecycle(Arc::clone(&inner) as Arc<dyn Lifecycle>);
-        coordinator.start_heartbeat();
-        Ok(Self { inner, coordinator })
+        cluster.coordinator.start_heartbeat();
+        Ok(cluster)
     }
 
     /// The routing coordinator.
@@ -121,9 +53,13 @@ impl LocalCluster {
         &self.coordinator
     }
 
+    fn worker(&self, i: usize) -> Arc<LocalWorker> {
+        Arc::clone(&self.workers.lock().expect("workers poisoned")[i])
+    }
+
     /// Number of workers the harness started (killed ones included).
     pub fn len(&self) -> usize {
-        self.inner.list.lock().expect("workers poisoned").len()
+        self.workers.lock().expect("workers poisoned").len()
     }
 
     /// Whether the harness has no workers (never true — `start`
@@ -134,8 +70,7 @@ impl LocalCluster {
 
     /// Worker ids, in start order.
     pub fn ids(&self) -> Vec<String> {
-        self.inner
-            .list
+        self.workers
             .lock()
             .expect("workers poisoned")
             .iter()
@@ -145,36 +80,54 @@ impl LocalCluster {
 
     /// The TCP address worker `i` listens (or listened) on.
     pub fn addr(&self, i: usize) -> SocketAddr {
-        self.inner.list.lock().expect("workers poisoned")[i].addr
+        self.worker(i).addr
     }
 
     /// Worker `i`'s in-process service, for white-box inspection
     /// (cache sizes, reports). `None` once killed.
     pub fn service(&self, i: usize) -> Option<Arc<Service>> {
-        let worker = Arc::clone(&self.inner.list.lock().expect("workers poisoned")[i]);
+        let worker = self.worker(i);
         let service = worker.service.lock().expect("service poisoned").clone();
         service
     }
 
     /// Index of the worker with `id`, if the harness started one.
     pub fn index_of(&self, id: &str) -> Option<usize> {
-        self.inner
-            .list
+        self.workers
             .lock()
             .expect("workers poisoned")
             .iter()
             .position(|w| w.id == id)
     }
 
-    /// Starts one more worker and registers it with the coordinator —
-    /// a live join, as the elastic spawn path would do it. Returns the
-    /// new worker's id. The next warmsync round relays the keys the
-    /// joiner now owns, so its first warm-key request is served from
-    /// shipped state.
+    /// Starts one more worker — its own [`Service`], with a per-worker
+    /// store subdirectory so a restart or replacement rehydrates exactly
+    /// its own hot set, behind an ephemeral loopback TCP front-end — and
+    /// registers it with the coordinator: a live join. Returns the new
+    /// worker's id. The next warmsync round relays the keys the joiner
+    /// now owns, so its first warm-key request is served from shipped
+    /// state.
     pub fn spawn(&self) -> std::io::Result<String> {
-        let id = format!("worker-{}", self.inner.next_id.fetch_add(1, Ordering::SeqCst));
-        let worker = self.inner.start_worker(&id)?;
-        self.coordinator.add_worker(&id, worker.addr);
+        // Held throughout, so concurrent spawns never share an id.
+        let mut workers = self.workers.lock().expect("workers poisoned");
+        let id = format!("worker-{}", workers.len());
+        // A shared store dir would have every worker appending to one
+        // warm log; give each worker its own subdirectory.
+        let mut config = self.serve_config.clone();
+        if let Some(base) = &self.serve_config.store_dir {
+            config.store_dir = Some(base.join(&id));
+        }
+        let service = Service::start(config);
+        let tcp = serve_tcp(Arc::clone(&service), "127.0.0.1:0")?;
+        let addr = tcp.local_addr();
+        workers.push(Arc::new(LocalWorker {
+            id: id.clone(),
+            addr,
+            service: Mutex::new(Some(service)),
+            tcp: Mutex::new(Some(tcp)),
+        }));
+        drop(workers);
+        self.coordinator.add_worker(&id, addr);
         Ok(id)
     }
 
@@ -183,8 +136,15 @@ impl LocalCluster {
     /// the death through transport errors and heartbeats, exactly as it
     /// would a remote crash. Idempotent.
     pub fn kill(&self, i: usize) {
-        let worker = Arc::clone(&self.inner.list.lock().expect("workers poisoned")[i]);
-        self.inner.kill_worker(&worker);
+        let worker = self.worker(i);
+        let tcp = worker.tcp.lock().expect("tcp poisoned").take();
+        if let Some(handle) = tcp {
+            handle.shutdown();
+        }
+        let service = worker.service.lock().expect("service poisoned").take();
+        if let Some(service) = service {
+            service.shutdown();
+        }
     }
 }
 

@@ -9,7 +9,7 @@
 //!   the DP cache key one level up) and sharded by rendezvous hashing,
 //!   so equivalent instances always land on the same worker and hit its
 //!   warm DP cache. See [`ring`].
-//! * **Health-checked lifecycle** — workers join and leave at runtime;
+//! * **Health-checked membership** — workers join and leave at runtime;
 //!   a background heartbeat polls the `health` verb and marks a worker
 //!   down after `max_missed_beats` consecutive misses, up again on any
 //!   success. Rendezvous hashing makes membership changes minimally
@@ -20,21 +20,20 @@
 //!   in-process heuristic, so a solvable instance always returns a valid
 //!   schedule; transport problems are absorbed, not surfaced.
 //!
-//! * **Warm-state replication & elasticity** — the warmsync engine
-//!   ([`sync`]) rides the heartbeat: each worker's warm-log suffix is
-//!   shipped to its `R − 1` rendezvous successors, membership changes
-//!   trigger a planned rebalance (the exact rendezvous ownership diff,
-//!   pulled from a live holder and pushed to the new owner), and an
-//!   optional [`ElasticPolicy`] spawns/retires workers through a
-//!   registered [`Lifecycle`]. A joining worker therefore answers its
-//!   first request for a previously-warm key from shipped state — no
-//!   cold DP solve.
+//! * **Warm-state replication** — the warmsync engine ([`sync`]) rides
+//!   the heartbeat: each worker's warm-log suffix is shipped to its
+//!   `R − 1` rendezvous successors, and membership changes trigger a
+//!   planned rebalance (the exact rendezvous ownership diff, pulled from
+//!   a live holder and pushed to the new owner). A joining worker
+//!   therefore answers its first request for a previously-warm key from
+//!   shipped state — no cold DP solve.
 //!
 //! [`serve_cluster_tcp`] exposes the coordinator over the same line
-//! protocol the workers speak (`stats` answers with the aggregated
-//! [`ClusterReport`]), making a cluster a drop-in replacement for a
-//! single `pcmax serve`. [`LocalCluster`] spins the whole topology up
-//! in one process for tests and benchmarks.
+//! protocol — and the same listener, `pcmax_serve::serve_lines` — the
+//! workers use (`stats` answers with the aggregated [`ClusterReport`]),
+//! making a cluster a drop-in replacement for a single `pcmax serve`.
+//! [`LocalCluster`] spins the whole topology up in one process for
+//! tests and benchmarks.
 
 pub mod coordinator;
 pub mod front;
@@ -49,5 +48,5 @@ pub use front::{serve_cluster_tcp, ClusterTcpHandle};
 pub use harness::LocalCluster;
 pub use ring::{rank_ids, rendezvous_score, worker_seed, RouteKey};
 pub use stats::{ClusterReport, ClusterStats, WorkerReport};
-pub use sync::{ElasticPolicy, Lifecycle, SyncOutcome};
+pub use sync::SyncOutcome;
 pub use worker::{WorkerCounters, WorkerNode, WorkerState};

@@ -53,10 +53,6 @@ pub struct ClusterStats {
     pub rebalance_events: Counter,
     /// Warm keys relayed to their new rendezvous owner by rebalances.
     pub rebalance_keys_moved: Counter,
-    /// Workers the elastic policy spawned.
-    pub elastic_spawns: Counter,
-    /// Workers the elastic policy retired (after draining).
-    pub elastic_retires: Counter,
     /// End-to-end coordinator-side request latency, in µs.
     pub latency_us: Histogram,
     /// Latency of one warm-push batch to one worker, in µs.
@@ -193,10 +189,6 @@ pub struct ClusterReport {
     pub rebalance_events: u64,
     /// Warm keys relayed to new rendezvous owners by rebalances.
     pub rebalance_keys_moved: u64,
-    /// Workers the elastic policy spawned.
-    pub elastic_spawns: u64,
-    /// Workers the elastic policy retired.
-    pub elastic_retires: u64,
     /// End-to-end latency histogram.
     pub latency_us: HistogramSnapshot,
     /// Warm-push batch latency histogram, in µs.
@@ -242,8 +234,6 @@ impl ClusterReport {
             .field_u64("push_rejected", self.warm_push_rejected)
             .field_u64("rebalance_events", self.rebalance_events)
             .field_u64("rebalance_keys_moved", self.rebalance_keys_moved)
-            .field_u64("elastic_spawns", self.elastic_spawns)
-            .field_u64("elastic_retires", self.elastic_retires)
             .key("ship_us");
         self.ship_us.write_json(&mut w);
         w.key("pull_us");
@@ -295,8 +285,6 @@ mod tests {
             warm_push_rejected: 1,
             rebalance_events: 2,
             rebalance_keys_moved: 9,
-            elastic_spawns: 1,
-            elastic_retires: 1,
             latency_us: stats.latency_us.snapshot(),
             ship_us: stats.ship_us.snapshot(),
             pull_us: stats.pull_us.snapshot(),

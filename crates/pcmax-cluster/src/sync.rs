@@ -1,5 +1,5 @@
-//! The warmsync engine: coordinator-mediated warm-state replication,
-//! membership-change rebalance, and the elastic worker lifecycle.
+//! The warmsync engine: coordinator-mediated warm-state replication and
+//! membership-change rebalance.
 //!
 //! Workers are pure servers — they never dial each other. The
 //! coordinator relays instead: it `warm-pull`s the unshipped suffix
@@ -36,12 +36,6 @@
 //!    top-`R` live owners; missing copies are relayed from a holder.
 //!    Free once converged, this is what tops a joiner or a revived
 //!    worker back up to every key it is now a successor for.
-//!
-//! The elastic step ([`Coordinator::elastic_step`]) runs after sync
-//! when an [`ElasticPolicy`] is configured and a [`Lifecycle`] is
-//! registered: sustained fleet-wide pressure or queue depth spawns a
-//! worker; sustained idleness drains (final relay of solely-owned
-//! entries) and retires the worker with the least warm state.
 
 use crate::coordinator::Coordinator;
 use crate::ring::rank_ids;
@@ -49,56 +43,8 @@ use crate::worker::WorkerNode;
 use pcmax_serve::{Client, ClientError};
 use pcmax_warmsync::{counters as wsc, moved_set, pull_ranges, ShipEntry};
 use std::collections::{HashMap, HashSet};
-use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Spawn/retire policy for the elastic lifecycle. All thresholds are
-/// evaluated per heartbeat over the *live* fleet and must hold for
-/// [`ElasticPolicy::sustained_beats`] consecutive beats before the
-/// coordinator acts, so a one-beat spike never churns workers.
-#[derive(Debug, Clone)]
-pub struct ElasticPolicy {
-    /// Spawn when mean live-worker pressure is at or above this.
-    pub spawn_above_pct: u64,
-    /// … or when the summed queue depth is at or above this.
-    pub spawn_queue_depth: u64,
-    /// Retire when mean pressure is at or below this and queues are
-    /// empty.
-    pub retire_below_pct: u64,
-    /// Consecutive hot/cold beats required before acting.
-    pub sustained_beats: u32,
-    /// Never retire below this many live workers.
-    pub min_workers: usize,
-    /// Never spawn above this many live workers.
-    pub max_workers: usize,
-}
-
-impl Default for ElasticPolicy {
-    fn default() -> Self {
-        Self {
-            spawn_above_pct: 80,
-            spawn_queue_depth: 64,
-            retire_below_pct: 5,
-            sustained_beats: 4,
-            min_workers: 1,
-            max_workers: 8,
-        }
-    }
-}
-
-/// How a deployment actually starts and stops workers. The coordinator
-/// decides *when* (policy), the lifecycle implements *how*
-/// (process/container/in-process service). [`crate::LocalCluster`]
-/// implements it by spawning and stopping in-process workers.
-pub trait Lifecycle: Send + Sync {
-    /// Starts a new worker and returns its id and serving address, or
-    /// `None` if the deployment cannot grow right now.
-    fn spawn_worker(&self) -> Option<(String, SocketAddr)>;
-    /// Stops the worker with `id`. Called after the coordinator has
-    /// drained its solely-owned warm entries and deregistered it.
-    fn retire_worker(&self, id: &str);
-}
 
 /// What one [`Coordinator::sync_warm`] round did, for tests and the
 /// churn benchmark.
@@ -116,14 +62,6 @@ pub struct SyncOutcome {
 
 /// The key-hash → holder-ids map built from cached digests.
 type Holders = HashMap<u64, HashSet<String>>;
-
-/// Consecutive hot/cold beat counters behind the elastic policy's
-/// `sustained_beats` damping.
-#[derive(Debug, Default)]
-pub(crate) struct ElasticState {
-    pub(crate) hot_beats: u32,
-    pub(crate) cold_beats: u32,
-}
 
 impl Coordinator {
     /// Runs one warmsync round (see the module docs). Serialised by an
@@ -476,132 +414,6 @@ impl Coordinator {
             .map_err(|e| ClientError::Transport(format!("connect: {e}")))?;
         let _ = client.set_io_timeout(Some(self.config().io_timeout));
         Ok(client)
-    }
-
-    /// One elastic policy evaluation (heartbeat-driven). Requires both
-    /// a configured [`ElasticPolicy`] and a registered [`Lifecycle`].
-    pub fn elastic_step(&self) {
-        let Some(policy) = self.config().elastic.clone() else { return };
-        let Some(lifecycle) = self
-            .lifecycle
-            .lock()
-            .expect("lifecycle poisoned")
-            .clone()
-        else {
-            return;
-        };
-        let live = self.live_nodes();
-        if live.is_empty() {
-            return;
-        }
-        let (mut pressure_sum, mut queue_sum) = (0u64, 0u64);
-        for worker in &live {
-            let state = worker.state();
-            pressure_sum += state.pressure_pct;
-            queue_sum += state.queue_depth;
-        }
-        let mean_pressure = pressure_sum / live.len() as u64;
-        let hot = mean_pressure >= policy.spawn_above_pct || queue_sum >= policy.spawn_queue_depth;
-        let cold = mean_pressure <= policy.retire_below_pct && queue_sum == 0;
-
-        let mut state = self.elastic_state.lock().expect("elastic state poisoned");
-        state.hot_beats = if hot { state.hot_beats + 1 } else { 0 };
-        state.cold_beats = if cold { state.cold_beats + 1 } else { 0 };
-
-        if state.hot_beats >= policy.sustained_beats && live.len() < policy.max_workers {
-            state.hot_beats = 0;
-            drop(state);
-            if let Some((id, addr)) = lifecycle.spawn_worker() {
-                self.add_worker(&id, addr);
-                self.stats.elastic_spawns.inc();
-                self.event("cluster.elastic", &format!("spawn {id}"));
-                // The next sync round's membership diff warms it up.
-            }
-            return;
-        }
-        if state.cold_beats >= policy.sustained_beats && live.len() > policy.min_workers {
-            state.cold_beats = 0;
-            drop(state);
-            // Retire the worker with the least warm state — the
-            // cheapest drain.
-            let victim = live
-                .iter()
-                .min_by_key(|w| (w.state().warm_entries, w.id.clone()))
-                .expect("live is non-empty")
-                .id
-                .clone();
-            self.retire_worker(&victim, lifecycle.as_ref());
-        }
-    }
-
-    /// Drains and retires `id`: relays its solely-owned warm entries to
-    /// their next owners (a rebalance planned as if `id` had already
-    /// left, executed while it still serves pulls), then deregisters it
-    /// and hands it to the lifecycle to stop.
-    pub fn retire_worker(&self, id: &str, lifecycle: &dyn Lifecycle) {
-        self.drain_worker(id);
-        self.remove_worker(id);
-        lifecycle.retire_worker(id);
-        self.stats.elastic_retires.inc();
-        self.event("cluster.elastic", &format!("retire {id}"));
-    }
-
-    /// The final warm-push of retirement: every key whose only live
-    /// holder is `id` is relayed to its post-departure rendezvous
-    /// owner, while `id` is still up to serve the pulls.
-    pub fn drain_worker(&self, id: &str) {
-        if !self.config().warmsync {
-            return;
-        }
-        let _round = self.sync_lock.lock().expect("sync lock poisoned");
-        let live = self.live_nodes();
-        let Some(victim) = live.iter().find(|w| w.id == id).cloned() else { return };
-        self.refresh_digests(&live);
-        let holders = self.holder_map(&live);
-        let survivor_ids: Vec<String> = live
-            .iter()
-            .filter(|w| w.id != id)
-            .map(|w| w.id.clone())
-            .collect();
-        if survivor_ids.is_empty() {
-            return;
-        }
-        let id_refs: Vec<&str> = survivor_ids.iter().map(String::as_str).collect();
-        let mut solely_owned: Vec<u64> = holders
-            .iter()
-            .filter(|(_, held)| held.len() == 1 && held.contains(id))
-            .map(|(&hash, _)| hash)
-            .collect();
-        solely_owned.sort_unstable();
-        if solely_owned.is_empty() {
-            return;
-        }
-        let donor_keys: Vec<u64> = victim
-            .digest_cache
-            .lock()
-            .expect("digest cache poisoned")
-            .as_ref()
-            .map(|(_, entries)| entries.iter().map(|&(h, _)| h).collect())
-            .unwrap_or_default();
-        let mut outcome = SyncOutcome::default();
-        for (lo, hi) in pull_ranges(&solely_owned, &donor_keys) {
-            let Some(entries) = self.pull_from(&victim, 0, lo, hi) else { continue };
-            outcome.pulled += entries.len() as u64;
-            // Each entry goes to its new primary under the survivor set.
-            let mut batches: HashMap<String, Vec<ShipEntry>> = HashMap::new();
-            for entry in entries {
-                if let Some(&owner) = rank_ids(&id_refs, entry.key_hash()).first() {
-                    batches.entry(owner.to_string()).or_default().push(entry);
-                }
-            }
-            for (target_id, batch) in batches {
-                if let Some(target) = live.iter().find(|w| w.id == target_id) {
-                    outcome.shipped += self.push_to(target, &batch);
-                }
-            }
-        }
-        self.stats.rebalance_keys_moved.add(outcome.shipped);
-        self.event("cluster.ring", &format!("drain {id}"));
     }
 }
 

@@ -1,6 +1,6 @@
 //! Blocking line-protocol client for the TCP front-end.
 
-use crate::proto::{self, OkReply};
+use crate::proto;
 use crate::service::SolveRequest;
 use crate::stats::{EngineUsed, HealthReply};
 use pcmax_core::{Instance, Schedule};
@@ -99,7 +99,16 @@ impl Client {
         stream.set_write_timeout(timeout)
     }
 
-    fn roundtrip(&mut self, line: &str) -> Result<String, ClientError> {
+    /// One request/reply round trip: sends `line`, reads one reply line
+    /// and decodes it with `parse`. A reply that fails to decode is a
+    /// [`ClientError::Server`] when its first word is exactly `err` (the
+    /// server answered, the connection is fine) and a transport failure
+    /// otherwise (the peer speaks garbage; drop the connection).
+    fn call<T>(
+        &mut self,
+        line: &str,
+        parse: impl FnOnce(&str) -> Result<T, String>,
+    ) -> Result<T, ClientError> {
         let transport = |stage: &str| {
             let stage = stage.to_string();
             move |e: std::io::Error| ClientError::Transport(format!("{stage}: {e}"))
@@ -114,7 +123,14 @@ impl Client {
         if n == 0 {
             return Err(ClientError::Transport("server closed the connection".into()));
         }
-        Ok(reply.trim_end().to_string())
+        let reply = reply.trim_end();
+        parse(reply).map_err(|msg| {
+            if reply.split_whitespace().next() == Some("err") {
+                ClientError::Server(msg)
+            } else {
+                ClientError::Transport(format!("protocol: {msg}"))
+            }
+        })
     }
 
     /// Solves `inst` remotely. `Err` carries the server's message for
@@ -143,19 +159,17 @@ impl Client {
             epsilon,
             deadline,
         });
-        let reply_line = self.roundtrip(&line)?;
-        let reply: OkReply = match proto::parse_response(&reply_line) {
-            Ok(reply) => reply,
-            Err(msg) if reply_line.starts_with("err") => return Err(ClientError::Server(msg)),
-            Err(msg) => return Err(ClientError::Transport(format!("protocol: {msg}"))),
-        };
-        if reply.assignment.len() != inst.num_jobs() {
-            return Err(ClientError::Transport(format!(
-                "protocol: assignment covers {} jobs, instance has {}",
-                reply.assignment.len(),
-                inst.num_jobs()
-            )));
-        }
+        let reply = self.call(&line, |reply| {
+            let reply = proto::parse_response(reply)?;
+            if reply.assignment.len() != inst.num_jobs() {
+                return Err(format!(
+                    "assignment covers {} jobs, instance has {}",
+                    reply.assignment.len(),
+                    inst.num_jobs()
+                ));
+            }
+            Ok(reply)
+        })?;
         Ok(ClientReply {
             makespan: reply.makespan,
             target: reply.target,
@@ -173,20 +187,16 @@ impl Client {
 
     /// Liveness check.
     pub fn ping(&mut self) -> Result<(), String> {
-        match self.roundtrip("ping").map_err(|e| e.to_string())?.as_str() {
+        self.call("ping", |reply| match reply {
             "pong" => Ok(()),
             other => Err(format!("unexpected ping reply `{other}`")),
-        }
+        })
+        .map_err(|e| e.to_string())
     }
 
     /// Liveness/load snapshot — the cluster heartbeat's round-trip.
     pub fn health(&mut self) -> Result<HealthReply, ClientError> {
-        let line = self.roundtrip("health")?;
-        match proto::parse_health_response(&line) {
-            Ok(reply) => Ok(reply),
-            Err(msg) if line.starts_with("err") => Err(ClientError::Server(msg)),
-            Err(msg) => Err(ClientError::Transport(format!("protocol: {msg}"))),
-        }
+        self.call("health", proto::parse_health_response)
     }
 
     /// Digest of the worker's warm log: high-water sequence number plus
@@ -194,12 +204,7 @@ impl Client {
     /// rebalance planner diffs this against ownership to decide what to
     /// pull.
     pub fn warm_digest(&mut self) -> Result<pcmax_warmsync::WarmDigest, ClientError> {
-        let line = self.roundtrip("warm-digest")?;
-        match proto::parse_warm_digest_reply(&line) {
-            Ok(digest) => Ok(digest),
-            Err(msg) if line.starts_with("err") => Err(ClientError::Server(msg)),
-            Err(msg) => Err(ClientError::Transport(format!("protocol: {msg}"))),
-        }
+        self.call("warm-digest", proto::parse_warm_digest_reply)
     }
 
     /// Pulls the warm entries with `seq > since_seq` whose key hash falls
@@ -210,12 +215,8 @@ impl Client {
         lo: u64,
         hi: u64,
     ) -> Result<Vec<pcmax_warmsync::ShipEntry>, ClientError> {
-        let line = self.roundtrip(&proto::format_warm_pull_request(since_seq, lo, hi))?;
-        match proto::parse_warm_pull_reply(&line) {
-            Ok(entries) => Ok(entries),
-            Err(msg) if line.starts_with("err") => Err(ClientError::Server(msg)),
-            Err(msg) => Err(ClientError::Transport(format!("protocol: {msg}"))),
-        }
+        let line = proto::format_warm_pull_request(since_seq, lo, hi);
+        self.call(&line, proto::parse_warm_pull_reply)
     }
 
     /// Ships `entries` into the peer's warm log. Returns
@@ -225,22 +226,20 @@ impl Client {
         &mut self,
         entries: &[pcmax_warmsync::ShipEntry],
     ) -> Result<(u64, u64), ClientError> {
-        let line = self.roundtrip(&proto::format_warm_push_request(entries))?;
-        match proto::parse_warm_push_reply(&line) {
-            Ok(counts) => Ok(counts),
-            Err(msg) if line.starts_with("err") => Err(ClientError::Server(msg)),
-            Err(msg) => Err(ClientError::Transport(format!("protocol: {msg}"))),
-        }
+        let line = proto::format_warm_entries("warm-push", entries);
+        self.call(&line, proto::parse_warm_push_reply)
     }
 
     /// Raw `stats …` line from the server.
     pub fn stats_line(&mut self) -> Result<String, String> {
-        let line = self.roundtrip("stats").map_err(|e| e.to_string())?;
-        if line.starts_with("stats ") {
-            Ok(line)
-        } else {
-            Err(format!("unexpected stats reply `{line}`"))
-        }
+        self.call("stats", |reply| {
+            if reply.starts_with("stats ") {
+                Ok(reply.to_string())
+            } else {
+                Err(format!("unexpected stats reply `{reply}`"))
+            }
+        })
+        .map_err(|e| e.to_string())
     }
 
     /// The server's stats snapshot as its JSON payload (the `stats `
@@ -252,6 +251,33 @@ impl Client {
             Ok(json)
         } else {
             Err(format!("stats payload is not a JSON object: `{json}`"))
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tcp::serve_lines;
+
+    #[test]
+    fn only_an_exact_err_verb_is_a_server_error() {
+        let inst = Instance::new(vec![3, 4], 2);
+        // `errors` is not the `err` verb: a peer sending it speaks
+        // garbage, so a router must drop the connection, not keep it as
+        // if the server had rejected the request.
+        for (reply, server_error) in [("err queue full", true), ("errors 1 2", false)] {
+            let server = serve_lines("127.0.0.1:0", None, move |_| reply.to_string()).unwrap();
+            let mut client = Client::connect(server.local_addr()).unwrap();
+            let expected = |e: &ClientError| match e {
+                ClientError::Server(msg) => server_error && msg == "queue full",
+                ClientError::Transport(msg) => !server_error && msg.starts_with("protocol: "),
+            };
+            assert!(client.health().is_err_and(|e| expected(&e)), "{reply}");
+            assert!(client.warm_digest().is_err_and(|e| expected(&e)), "{reply}");
+            let solved = client.solve_detailed(&inst, None, None);
+            assert!(solved.is_err_and(|e| expected(&e)), "{reply}");
+            server.shutdown();
         }
     }
 }

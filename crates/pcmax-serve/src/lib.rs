@@ -27,6 +27,8 @@
 //!
 //! Use [`Service`] in-process, or [`serve_tcp`] + [`Client`] for the
 //! line-protocol TCP front-end (`pcmax serve` on the command line).
+//! [`serve_lines`] is the listener under it, shared with the cluster
+//! coordinator's front-end.
 
 pub mod cache;
 pub mod client;
@@ -58,5 +60,5 @@ pub use stats::{
 // The improver's knobs surface in [`ServeConfig`]; re-export them so
 // serve consumers (cluster, CLI) need not depend on pcmax-improve.
 pub use pcmax_improve::{ImproveConfig, ImproveMode, ImproveOutcome, ImproveStats};
-pub use tcp::{serve_tcp, TcpHandle};
+pub use tcp::{serve_lines, serve_tcp, TcpHandle};
 pub use warm::WarmTier;

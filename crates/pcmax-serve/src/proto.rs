@@ -1,8 +1,8 @@
 //! The line protocol spoken over TCP.
 //!
 //! One request per line, one response line per request — trivially
-//! scriptable with `nc`. Fields are space-separated; `-` marks an absent
-//! optional field.
+//! scriptable with `nc`. Fields are space-separated and positional; `-`
+//! marks an absent optional field.
 //!
 //! Requests:
 //!
@@ -23,7 +23,7 @@
 //! err <message>
 //! pong
 //! stats {"accepted":…,"completed":…,"degraded":…,"rejected":…,"cache":{…},"histograms":{…}}
-//! health <uptime_us> <queue_depth> <cache_entries> <pressure_pct> [<warm_entries> <warm_seq>]
+//! health <uptime_us> <queue_depth> <cache_entries> <pressure_pct> <warm_entries> <warm_seq>
 //! warm-digest <max_seq> <n> <hash:seq>…
 //! warm-pull <n> <entry>…
 //! warm-push <accepted> <rejected>
@@ -35,8 +35,10 @@
 //! byte budget; the coordinator deprioritises pressured workers in its
 //! failover order. `warm_entries`/`warm_seq` describe the worker's
 //! warm log so the coordinator can pick rehydration donors without a
-//! separate round trip; the parse is version-tolerant — old workers
-//! answer with four fields and the two warm fields default to zero.
+//! separate round trip. The reply is exactly six fields — workers and
+//! coordinators ship from one tree, so there is no version tolerance.
+//! For the same reason the `ok` line stays positional: `key=value`
+//! tokens would only buy the tolerance that `health` no longer needs.
 //!
 //! The `warm-*` verbs are the warmsync shipping protocol (see
 //! `pcmax-warmsync`): a digest inventories the warm log as
@@ -59,12 +61,17 @@
 //! `(makespan − LB)·10⁶ / LB` against the area/max lower bound — the
 //! per-request quality figure the anytime improver drives down.
 //! `a_j` is the machine index job `j` is assigned to.
+//!
+//! Every parser reads its tokens through one cursor, and every reply
+//! parser strips its verb — or surfaces an `err` line — in one place.
 
 use crate::service::{SolveRequest, SolveResponse};
 use crate::stats::{EngineUsed, HealthReply, ServiceReport};
 use pcmax_core::{Guarantee, Instance};
 use pcmax_warmsync::frame::format_digest_entry;
 use pcmax_warmsync::{parse_digest_entry, ShipEntry, WarmDigest};
+use std::fmt::Display;
+use std::str::{FromStr, SplitWhitespace};
 use std::time::Duration;
 
 /// A parsed request line.
@@ -98,6 +105,70 @@ pub enum Request {
     },
 }
 
+/// A cursor over one line's tokens (or one field's sub-tokens).
+struct Cursor<I>(I);
+
+fn words(line: &str) -> Cursor<SplitWhitespace<'_>> {
+    Cursor(line.split_whitespace())
+}
+
+impl<'a, I: Iterator<Item = &'a str>> Cursor<I> {
+    /// The next token; `name` labels the error if there is none.
+    fn word(&mut self, name: &str) -> Result<&'a str, String> {
+        self.0.next().ok_or_else(|| format!("missing {name}"))
+    }
+
+    /// The next token parsed as a `T`.
+    fn num<T: FromStr>(&mut self, name: &str) -> Result<T, String>
+    where
+        T::Err: Display,
+    {
+        self.word(name)?
+            .parse()
+            .map_err(|e| format!("bad {name}: {e}"))
+    }
+
+    /// The next token parsed as a `T`, with `-` meaning absent.
+    fn opt<T: FromStr>(&mut self, name: &str) -> Result<Option<T>, String>
+    where
+        T::Err: Display,
+    {
+        match self.word(name)? {
+            "-" => Ok(None),
+            word => word
+                .parse()
+                .map(Some)
+                .map_err(|e| format!("bad {name}: {e}")),
+        }
+    }
+
+    /// Fails if any token is left after `what`.
+    fn end(mut self, what: &str) -> Result<(), String> {
+        match self.0.next() {
+            None => Ok(()),
+            Some(_) => Err(format!("trailing fields after {what}")),
+        }
+    }
+
+    /// An entry count followed by exactly that many tokens, each decoded
+    /// by `item`.
+    fn counted<T>(
+        mut self,
+        what: &str,
+        item: impl FnMut(&'a str) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        let count: usize = self.num("entry count")?;
+        let items = self.0.map(item).collect::<Result<Vec<_>, _>>()?;
+        if items.len() != count {
+            return Err(format!(
+                "{what} count mismatch: header says {count}, got {}",
+                items.len()
+            ));
+        }
+        Ok(items)
+    }
+}
+
 /// Parses one request line.
 ///
 /// Every parse/validation failure is prefixed `invalid request: ` — the
@@ -110,36 +181,28 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 }
 
 fn parse_request_inner(line: &str) -> Result<Request, String> {
-    let mut words = line.split_whitespace();
-    match words.next() {
+    let mut words = words(line);
+    match words.0.next() {
         Some("solve") => {
-            let machines: usize = words
-                .next()
-                .ok_or("missing machine count")?
-                .parse()
-                .map_err(|e| format!("bad machine count: {e}"))?;
+            let machines: usize = words.num("machine count")?;
             if machines == 0 {
                 return Err("machine count must be positive".into());
             }
-            let epsilon = parse_opt::<f64>(words.next().ok_or("missing epsilon")?)
-                .map_err(|e| format!("bad epsilon: {e}"))?;
+            let epsilon: Option<f64> = words.opt("epsilon")?;
             if let Some(eps) = epsilon {
                 if !(eps > 0.0 && eps <= 1.0) {
                     return Err(format!("epsilon {eps} outside (0, 1]"));
                 }
             }
-            let deadline_ms = parse_opt::<u64>(words.next().ok_or("missing deadline")?)
-                .map_err(|e| format!("bad deadline: {e}"))?;
-            let times_field = words.next().ok_or("missing processing times")?;
-            if words.next().is_some() {
-                return Err("trailing fields after processing times".into());
-            }
-            let times = parse_u64_list(times_field).map_err(|e| format!("bad times: {e}"))?;
+            let deadline_ms: Option<u64> = words.opt("deadline")?;
+            let times = words.word("processing times")?;
+            words.end("processing times")?;
             // The overflow gate: `Instance::try_new` rejects empty/zero
             // shapes AND total work beyond u64::MAX, so a wrap-inducing
             // instance dies here as a protocol error instead of
             // producing a silently wrong schedule inside a worker.
-            let instance = Instance::try_new(times, machines).map_err(|e| e.to_string())?;
+            let instance = Instance::try_new(parse_list(times, "times")?, machines)
+                .map_err(|e| e.to_string())?;
             Ok(Request::Solve(SolveRequest {
                 instance,
                 epsilon,
@@ -149,48 +212,42 @@ fn parse_request_inner(line: &str) -> Result<Request, String> {
         Some("stats") => Ok(Request::Stats),
         Some("health") => Ok(Request::Health),
         Some("ping") => Ok(Request::Ping),
-        Some("warm-digest") => {
-            if words.next().is_some() {
-                return Err("trailing fields after warm-digest".into());
-            }
-            Ok(Request::WarmDigest)
-        }
+        Some("warm-digest") => words.end("warm-digest").map(|()| Request::WarmDigest),
         Some("warm-pull") => {
-            let mut field = |name: &str| {
-                words
-                    .next()
-                    .ok_or(format!("missing field {name}"))?
-                    .parse::<u64>()
-                    .map_err(|e| format!("bad {name}: {e}"))
-            };
-            let since_seq = field("since_seq")?;
-            let lo = field("lo_hash")?;
-            let hi = field("hi_hash")?;
-            if words.next().is_some() {
-                return Err("trailing fields after warm-pull".into());
-            }
+            let since_seq = words.num("since_seq")?;
+            let lo = words.num("lo_hash")?;
+            let hi = words.num("hi_hash")?;
+            words.end("warm-pull")?;
             if lo > hi {
                 return Err(format!("empty warm-pull hash range {lo}..{hi}"));
             }
             Ok(Request::WarmPull { since_seq, lo, hi })
         }
-        Some("warm-push") => {
-            let count: usize = words
-                .next()
-                .ok_or("missing entry count")?
-                .parse()
-                .map_err(|e| format!("bad entry count: {e}"))?;
-            let tokens: Vec<String> = words.map(str::to_string).collect();
-            if tokens.len() != count {
-                return Err(format!(
-                    "warm-push count mismatch: header says {count}, got {}",
-                    tokens.len()
-                ));
-            }
-            Ok(Request::WarmPush { tokens })
-        }
+        Some("warm-push") => Ok(Request::WarmPush {
+            tokens: words.counted("warm-push", |token| Ok(token.to_string()))?,
+        }),
         Some(other) => Err(format!("unknown command `{other}`")),
         None => Err("empty request".into()),
+    }
+}
+
+/// The tokens after a reply's verb when the reply is a `verb` line;
+/// otherwise the error to surface: the server's own message for an
+/// `err <message>` line, else what was unexpected about the reply.
+fn reply_body<'a>(line: &'a str, verb: &str) -> Result<Cursor<SplitWhitespace<'a>>, String> {
+    let mut words = words(line);
+    match words.0.next() {
+        Some(first) if first == verb => Ok(words),
+        Some("err") => {
+            let message = line.trim_start()["err".len()..].trim_start();
+            Err(if message.is_empty() {
+                "unspecified server error".to_string()
+            } else {
+                message.to_string()
+            })
+        }
+        Some(other) => Err(format!("unexpected {verb} reply `{other}`")),
+        None => Err(format!("empty {verb} reply")),
     }
 }
 
@@ -202,7 +259,7 @@ pub fn format_solve_request(req: &SolveRequest) -> String {
         req.epsilon.map_or("-".to_string(), |e| e.to_string()),
         req.deadline
             .map_or("-".to_string(), |d| d.as_millis().to_string()),
-        join_u64(req.instance.times()),
+        join(req.instance.times()),
     )
 }
 
@@ -222,12 +279,7 @@ pub fn format_response(res: &SolveResponse) -> String {
         res.stats.guarantee.den,
         res.stats.guarantee.slack,
         res.stats.gap_ppm,
-        res.schedule
-            .assignment()
-            .iter()
-            .map(|m| m.to_string())
-            .collect::<Vec<_>>()
-            .join(","),
+        join(res.schedule.assignment()),
     )
 }
 
@@ -241,7 +293,7 @@ pub fn format_stats(report: &ServiceReport) -> String {
     format!("stats {}", report.to_json())
 }
 
-/// Formats the `health …` line (current six-field form).
+/// Formats the six-field `health …` line.
 pub fn format_health(health: &HealthReply) -> String {
     format!(
         "health {} {} {} {} {} {}",
@@ -254,58 +306,20 @@ pub fn format_health(health: &HealthReply) -> String {
     )
 }
 
-/// Parses a `health …` line into `Ok(reply)`, or the server's `Err`
-/// text for `err` lines (an old server answers `health` with
-/// `err unknown command`).
-///
-/// Version-tolerant: workers predating warmsync answer with four
-/// fields; the warm fields then default to zero. Four or six fields
-/// are the only valid shapes.
+/// Parses a six-field `health …` line into `Ok(reply)`, or the server's
+/// `Err` text for `err` lines.
 pub fn parse_health_response(line: &str) -> Result<HealthReply, String> {
-    let mut words = line.split_whitespace();
-    match words.next() {
-        Some("health") => {
-            let mut field = |name: &str| {
-                words
-                    .next()
-                    .ok_or(format!("missing field {name}"))?
-                    .parse::<u64>()
-                    .map_err(|e| format!("bad {name}: {e}"))
-            };
-            let mut reply = HealthReply {
-                uptime_us: field("uptime_us")?,
-                queue_depth: field("queue_depth")?,
-                cache_entries: field("cache_entries")?,
-                pressure_pct: field("pressure_pct")?,
-                warm_entries: 0,
-                warm_seq: 0,
-            };
-            if let Some(word) = words.next() {
-                reply.warm_entries = word
-                    .parse()
-                    .map_err(|e| format!("bad warm_entries: {e}"))?;
-                reply.warm_seq = words
-                    .next()
-                    .ok_or("warm_entries without warm_seq")?
-                    .parse()
-                    .map_err(|e| format!("bad warm_seq: {e}"))?;
-            }
-            if words.next().is_some() {
-                return Err("trailing fields after health reply".into());
-            }
-            Ok(reply)
-        }
-        Some("err") => {
-            let rest = line.trim_start()[3..].trim_start();
-            Err(if rest.is_empty() {
-                "unspecified server error".to_string()
-            } else {
-                rest.to_string()
-            })
-        }
-        Some(other) => Err(format!("unexpected health reply `{other}`")),
-        None => Err("empty health reply".into()),
-    }
+    let mut words = reply_body(line, "health")?;
+    let reply = HealthReply {
+        uptime_us: words.num("uptime_us")?,
+        queue_depth: words.num("queue_depth")?,
+        cache_entries: words.num("cache_entries")?,
+        pressure_pct: words.num("pressure_pct")?,
+        warm_entries: words.num("warm_entries")?,
+        warm_seq: words.num("warm_seq")?,
+    };
+    words.end("health reply")?;
+    Ok(reply)
 }
 
 /// Formats the `warm-pull <since> <lo> <hi>` request line.
@@ -313,90 +327,41 @@ pub fn format_warm_pull_request(since_seq: u64, lo: u64, hi: u64) -> String {
     format!("warm-pull {since_seq} {lo} {hi}")
 }
 
-/// Formats the `warm-push <n> <entry>…` request line.
-pub fn format_warm_push_request(entries: &[ShipEntry]) -> String {
-    let mut line = format!("warm-push {}", entries.len());
-    for entry in entries {
-        line.push(' ');
-        line.push_str(&entry.to_token());
-    }
-    line
+/// Formats a `<verb> <n> <entry>…` line — the shape of both the
+/// `warm-push` request and the `warm-pull` reply.
+pub fn format_warm_entries(verb: &str, entries: &[ShipEntry]) -> String {
+    counted_line(verb, entries.iter().map(ShipEntry::to_token))
 }
 
 /// Formats the `warm-digest …` reply line.
 pub fn format_warm_digest_reply(digest: &WarmDigest) -> String {
-    let mut line = format!("warm-digest {} {}", digest.max_seq, digest.entries.len());
-    for &(hash, seq) in &digest.entries {
+    let entries = digest.entries.iter();
+    let tokens = entries.map(|&(hash, seq)| format_digest_entry(hash, seq));
+    counted_line(&format!("warm-digest {}", digest.max_seq), tokens)
+}
+
+/// `<head> <n> <token>…` for the `n` tokens.
+fn counted_line(head: &str, tokens: impl ExactSizeIterator<Item = String>) -> String {
+    let mut line = format!("{head} {}", tokens.len());
+    for token in tokens {
         line.push(' ');
-        line.push_str(&format_digest_entry(hash, seq));
+        line.push_str(&token);
     }
     line
 }
 
 /// Parses a `warm-digest …` reply, or the server's `Err` text.
 pub fn parse_warm_digest_reply(line: &str) -> Result<WarmDigest, String> {
-    let mut words = line.split_whitespace();
-    match words.next() {
-        Some("warm-digest") => {
-            let max_seq: u64 = words
-                .next()
-                .ok_or("missing max_seq")?
-                .parse()
-                .map_err(|e| format!("bad max_seq: {e}"))?;
-            let count: usize = words
-                .next()
-                .ok_or("missing entry count")?
-                .parse()
-                .map_err(|e| format!("bad entry count: {e}"))?;
-            let entries = words
-                .map(parse_digest_entry)
-                .collect::<Result<Vec<_>, _>>()?;
-            if entries.len() != count {
-                return Err(format!(
-                    "digest count mismatch: header says {count}, got {}",
-                    entries.len()
-                ));
-            }
-            Ok(WarmDigest { max_seq, entries })
-        }
-        other => Err(reply_error(line, other, "warm-digest")),
-    }
-}
-
-/// Formats the `warm-pull <n> <entry>…` reply line.
-pub fn format_warm_pull_reply(entries: &[ShipEntry]) -> String {
-    let mut line = format!("warm-pull {}", entries.len());
-    for entry in entries {
-        line.push(' ');
-        line.push_str(&entry.to_token());
-    }
-    line
+    let mut words = reply_body(line, "warm-digest")?;
+    let max_seq = words.num("max_seq")?;
+    let entries = words.counted("digest", parse_digest_entry)?;
+    Ok(WarmDigest { max_seq, entries })
 }
 
 /// Parses a `warm-pull …` reply, re-verifying every entry checksum, or
 /// the server's `Err` text.
 pub fn parse_warm_pull_reply(line: &str) -> Result<Vec<ShipEntry>, String> {
-    let mut words = line.split_whitespace();
-    match words.next() {
-        Some("warm-pull") => {
-            let count: usize = words
-                .next()
-                .ok_or("missing entry count")?
-                .parse()
-                .map_err(|e| format!("bad entry count: {e}"))?;
-            let entries = words
-                .map(ShipEntry::from_token)
-                .collect::<Result<Vec<_>, _>>()?;
-            if entries.len() != count {
-                return Err(format!(
-                    "pull count mismatch: header says {count}, got {}",
-                    entries.len()
-                ));
-            }
-            Ok(entries)
-        }
-        other => Err(reply_error(line, other, "warm-pull")),
-    }
+    reply_body(line, "warm-pull")?.counted("pull", ShipEntry::from_token)
 }
 
 /// Formats the `warm-push <accepted> <rejected>` reply line.
@@ -407,42 +372,10 @@ pub fn format_warm_push_reply(accepted: u64, rejected: u64) -> String {
 /// Parses a `warm-push …` reply into `(accepted, rejected)`, or the
 /// server's `Err` text.
 pub fn parse_warm_push_reply(line: &str) -> Result<(u64, u64), String> {
-    let mut words = line.split_whitespace();
-    match words.next() {
-        Some("warm-push") => {
-            let mut field = |name: &str| {
-                words
-                    .next()
-                    .ok_or(format!("missing field {name}"))?
-                    .parse::<u64>()
-                    .map_err(|e| format!("bad {name}: {e}"))
-            };
-            let accepted = field("accepted")?;
-            let rejected = field("rejected")?;
-            if words.next().is_some() {
-                return Err("trailing fields after warm-push reply".into());
-            }
-            Ok((accepted, rejected))
-        }
-        other => Err(reply_error(line, other, "warm-push")),
-    }
-}
-
-/// Shared error shaping for warm replies: `err` lines surface the
-/// server's message, anything else names the unexpected verb.
-fn reply_error(line: &str, first: Option<&str>, expected: &str) -> String {
-    match first {
-        Some("err") => {
-            let rest = line.trim_start()[3..].trim_start();
-            if rest.is_empty() {
-                "unspecified server error".to_string()
-            } else {
-                rest.to_string()
-            }
-        }
-        Some(other) => format!("unexpected {expected} reply `{other}`"),
-        None => format!("empty {expected} reply"),
-    }
+    let mut words = reply_body(line, "warm-push")?;
+    let counts = (words.num("accepted")?, words.num("rejected")?);
+    words.end("warm-push reply")?;
+    Ok(counts)
 }
 
 /// A parsed `ok …` line, as the client sees it.
@@ -475,105 +408,53 @@ pub struct OkReply {
 
 /// Parses a response line into `Ok(reply)` or the server's `Err` text.
 pub fn parse_response(line: &str) -> Result<OkReply, String> {
-    let mut words = line.split_whitespace();
-    match words.next() {
-        Some("ok") => {
-            let mut field = |name: &str| words.next().ok_or(format!("missing field {name}"));
-            let makespan = field("makespan")?
-                .parse()
-                .map_err(|e| format!("bad makespan: {e}"))?;
-            let target =
-                parse_opt::<u64>(field("target")?).map_err(|e| format!("bad target: {e}"))?;
-            let engine: EngineUsed = field("engine")?.parse()?;
-            let degraded = match field("degraded")? {
-                "0" => false,
-                "1" => true,
-                other => return Err(format!("bad degraded flag `{other}`")),
-            };
-            let cache_hits = field("hits")?.parse().map_err(|e| format!("bad hits: {e}"))?;
-            let cache_misses = field("misses")?
-                .parse()
-                .map_err(|e| format!("bad misses: {e}"))?;
-            let queue_wait_us = field("wait_us")?
-                .parse()
-                .map_err(|e| format!("bad wait_us: {e}"))?;
-            let solve_us = field("solve_us")?
-                .parse()
-                .map_err(|e| format!("bad solve_us: {e}"))?;
-            let guarantee = parse_guarantee(field("guarantee")?)?;
-            let gap_ppm = field("gap_ppm")?
-                .parse()
-                .map_err(|e| format!("bad gap_ppm: {e}"))?;
-            let assignment = field("assignment")?
-                .split(',')
-                .map(|w| w.parse::<usize>().map_err(|e| format!("bad assignment: {e}")))
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(OkReply {
-                makespan,
-                target,
-                engine,
-                degraded,
-                cache_hits,
-                cache_misses,
-                queue_wait_us,
-                solve_us,
-                guarantee,
-                gap_ppm,
-                assignment,
-            })
-        }
-        Some("err") => {
-            let rest = line.trim_start()[3..].trim_start();
-            Err(if rest.is_empty() {
-                "unspecified server error".to_string()
-            } else {
-                rest.to_string()
-            })
-        }
-        Some(other) => Err(format!("unexpected response `{other}`")),
-        None => Err("empty response".into()),
-    }
+    let mut words = reply_body(line, "ok")?;
+    // Struct fields evaluate in the order written: the wire order.
+    Ok(OkReply {
+        makespan: words.num("makespan")?,
+        target: words.opt("target")?,
+        engine: words.num("engine")?,
+        degraded: match words.word("degraded")? {
+            "0" => false,
+            "1" => true,
+            other => return Err(format!("bad degraded flag `{other}`")),
+        },
+        cache_hits: words.num("hits")?,
+        cache_misses: words.num("misses")?,
+        queue_wait_us: words.num("wait_us")?,
+        solve_us: words.num("solve_us")?,
+        guarantee: parse_guarantee(words.word("guarantee")?)?,
+        gap_ppm: words.num("gap_ppm")?,
+        assignment: parse_list(words.word("assignment")?, "assignment")?,
+    })
 }
 
 fn parse_guarantee(word: &str) -> Result<Guarantee, String> {
-    let mut parts = word.split('/');
-    let mut field = |name: &str| {
-        parts
-            .next()
-            .ok_or(format!("guarantee missing {name}"))?
-            .parse::<u64>()
-            .map_err(|e| format!("bad guarantee {name}: {e}"))
-    };
+    let mut parts = Cursor(word.split('/'));
     let g = Guarantee {
-        num: field("num")?,
-        den: field("den")?,
-        slack: field("slack")?,
+        num: parts.num("guarantee num")?,
+        den: parts.num("guarantee den")?,
+        slack: parts.num("guarantee slack")?,
     };
-    if parts.next().is_some() {
-        return Err("trailing guarantee fields".into());
-    }
+    parts.end("guarantee")?;
     if g.den == 0 || g.num < g.den {
         return Err(format!("nonsensical guarantee `{word}`"));
     }
     Ok(g)
 }
 
-fn parse_opt<T: std::str::FromStr>(word: &str) -> Result<Option<T>, T::Err> {
-    if word == "-" {
-        Ok(None)
-    } else {
-        word.parse().map(Some)
-    }
-}
-
-fn parse_u64_list(field: &str) -> Result<Vec<u64>, String> {
+/// A comma-separated list field.
+fn parse_list<T: FromStr>(field: &str, name: &str) -> Result<Vec<T>, String>
+where
+    T::Err: Display,
+{
     field
         .split(',')
-        .map(|w| w.parse::<u64>().map_err(|e| format!("`{w}`: {e}")))
+        .map(|w| w.parse().map_err(|e| format!("bad {name}: `{w}`: {e}")))
         .collect()
 }
 
-fn join_u64(values: &[u64]) -> String {
+fn join<T: Display>(values: &[T]) -> String {
     values
         .iter()
         .map(|v| v.to_string())
@@ -813,17 +694,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_four_field_health_parses_with_zero_warm_fields() {
-        // Workers predating warmsync omit the warm fields; the parse is
-        // version-tolerant so a mixed-version cluster keeps beating.
-        let reply = parse_health_response("health 1234567 3 42 87").unwrap();
-        assert_eq!(reply.uptime_us, 1_234_567);
-        assert_eq!(reply.pressure_pct, 87);
-        assert_eq!(reply.warm_entries, 0);
-        assert_eq!(reply.warm_seq, 0);
-    }
-
-    #[test]
     fn malformed_health_responses_are_rejected() {
         for bad in [
             "",
@@ -832,6 +702,7 @@ mod tests {
             "health 1 2",
             "health 1 2 3",
             "health 1 2 3 x",
+            "health 1234567 3 42 87",
             "health 1 2 3 4 5",
             "health 1 2 3 4 5 x",
             "health 1 2 3 4 5 6 7",
@@ -866,7 +737,7 @@ mod tests {
             key: b"k".to_vec(),
             value: b"v".to_vec(),
         };
-        let line = format_warm_push_request(std::slice::from_ref(&entry));
+        let line = format_warm_entries("warm-push", std::slice::from_ref(&entry));
         match parse_request(&line).unwrap() {
             Request::WarmPush { tokens } => {
                 assert_eq!(tokens.len(), 1);
@@ -912,7 +783,7 @@ mod tests {
                 value: Vec::new(),
             },
         ];
-        let line = format_warm_pull_reply(&entries);
+        let line = format_warm_entries("warm-pull", &entries);
         assert_eq!(parse_warm_pull_reply(&line).unwrap(), entries);
         assert!(parse_warm_pull_reply("warm-pull 2 1:61:78:0").is_err());
 

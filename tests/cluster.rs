@@ -6,7 +6,7 @@
 
 use pcmax::cluster::{serve_cluster_tcp, LocalCluster};
 use pcmax::core::gen::uniform;
-use pcmax::serve::{Client, SolveRequest};
+use pcmax::serve::{Client, ClientError, SolveRequest};
 use pcmax::{ClusterConfig, Instance, ServeConfig};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -375,6 +375,16 @@ fn cluster_front_end_speaks_the_serve_protocol() {
     let err = client.solve(&inst, Some(9.0), None).unwrap_err();
     assert!(err.contains("epsilon"), "{err}");
     client.ping().expect("connection survives the err-line");
+
+    // Warm verbs address a worker: the coordinator's dispatch rejects
+    // them as non-retryable, and the connection keeps working.
+    match client.warm_digest() {
+        Err(ClientError::Server(msg)) => {
+            assert!(msg.starts_with("invalid request:"), "{msg}")
+        }
+        other => panic!("warm-digest to the coordinator: {other:?}"),
+    }
+    client.ping().expect("connection survives the warm-verb rejection");
 
     // `stats` answers with the aggregated cluster report.
     let stats = client.stats_json().expect("stats");
