@@ -114,17 +114,16 @@ pub fn check_engine_agreement(inst: &Instance, ctx: &mut CheckCtx<'_>) {
     }
 }
 
-/// Bisection, quarter split, 8-ary split, and the parallel n-ary form
-/// must all converge to the same `T*`, and every probe target they emit
-/// must stay inside the shrinking `[lb, ub]` interval.
+/// Bisection, quarter split and 8-ary split must all converge to the
+/// same `T*`, and every probe target they emit must stay inside the
+/// shrinking `[lb, ub]` interval.
 pub fn check_search_agreement(inst: &Instance, ctx: &mut CheckCtx<'_>) {
     ctx.bump();
     let engine = DpEngine::Sequential;
-    let b = search::bisection(inst, ctx.k, engine);
-    let q = search::quarter(inst, ctx.k, engine);
-    let n8 = search::nary(inst, ctx.k, engine, 8);
-    let p4 = search::nary_parallel(inst, ctx.k, engine, 4);
-    for (name, r) in [("quarter", &q), ("nary-8", &n8), ("nary-parallel-4", &p4)] {
+    let b = search::run(inst, ctx.k, engine, 1);
+    let q = search::run(inst, ctx.k, engine, 4);
+    let n8 = search::run(inst, ctx.k, engine, 8);
+    for (name, r) in [("quarter", &q), ("nary-8", &n8)] {
         if r.target != b.target {
             ctx.diverge(
                 "search-target",
@@ -134,7 +133,7 @@ pub fn check_search_agreement(inst: &Instance, ctx: &mut CheckCtx<'_>) {
     }
     let lb0 = bounds::lower_bound(inst);
     let ub0 = bounds::upper_bound(inst);
-    for r in [&b, &q, &n8, &p4] {
+    for r in [&b, &q, &n8] {
         for rec in &r.records {
             for p in &rec.probes {
                 if p.target < rec.lb || p.target > rec.ub {
@@ -154,9 +153,9 @@ pub fn check_search_agreement(inst: &Instance, ctx: &mut CheckCtx<'_>) {
     }
 }
 
-/// The serve layer's cache-backed bisection re-implements the search on
-/// top of `DpKey` canonicalisation; its converged target and schedule
-/// must match the plain search.
+/// The serve layer's cache-backed bisection runs the search over
+/// `DpKey`-canonicalised probes; its converged target must match the
+/// plain search and its schedule must be valid.
 pub fn check_serve_solver(inst: &Instance, ctx: &mut CheckCtx<'_>) {
     ctx.bump();
     // Skip when even a single probe's table would blow the budget; the
@@ -169,12 +168,12 @@ pub fn check_serve_solver(inst: &Instance, ctx: &mut CheckCtx<'_>) {
     };
     match solve_cached(inst, ctx.k, &opts, &cache, None, None) {
         Ok(outcome) => {
-            let reference = search::bisection(inst, ctx.k, DpEngine::Sequential);
+            let reference = search::run(inst, ctx.k, DpEngine::Sequential, 1);
             if outcome.target != reference.target {
                 ctx.diverge(
                     "serve-target",
                     format!(
-                        "solve_cached T* {} vs search::bisection {}",
+                        "solve_cached T* {} vs search::run {}",
                         outcome.target, reference.target
                     ),
                 );
@@ -264,7 +263,7 @@ pub fn check_small_oracle(inst: &Instance, ctx: &mut CheckCtx<'_>) {
             Err(e) => ctx.diverge("heuristic-schedule", format!("{name}: {e}")),
         }
     }
-    let t_star = search::bisection(inst, ctx.k, DpEngine::Sequential).target;
+    let t_star = search::run(inst, ctx.k, DpEngine::Sequential, 1).target;
     if t_star > opt {
         ctx.diverge(
             "dual-approximation",

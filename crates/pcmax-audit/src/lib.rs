@@ -179,7 +179,7 @@ mod tests {
             ..AuditConfig::default()
         });
         assert_eq!(report.cases, 8 * 8);
-        assert!(report.checks > report.cases as u64);
+        assert!(report.checks > report.cases);
         assert!(
             report.is_clean(),
             "divergences: {:#?}",
@@ -196,7 +196,7 @@ mod tests {
         });
         assert!(filtered.checks > 0);
         // 7 policies per case, nothing else.
-        assert_eq!(filtered.checks, filtered.cases as u64 * 7);
+        assert_eq!(filtered.checks, filtered.cases * 7);
         assert!(filtered.is_clean(), "divergences: {:#?}", filtered.divergences);
     }
 
@@ -235,7 +235,7 @@ mod tests {
         });
         assert_eq!(filtered.cases, full.cases);
         // Greedy (1) + GA (1 + determinism + eval-path) per case.
-        assert_eq!(filtered.checks, filtered.cases as u64 * 4);
+        assert_eq!(filtered.checks, filtered.cases * 4);
         assert!(
             filtered.checks < full.checks,
             "filtered {} vs full {}",

@@ -7,6 +7,9 @@ use pcmax_serve::Client;
 use std::net::SocketAddr;
 use std::sync::Mutex;
 
+/// A worker's warm-store digest: `(hash, seq)` per entry.
+pub type DigestEntries = Vec<(u64, u64)>;
+
 /// Health state of a worker, driven by heartbeats and by transport
 /// failures observed on the solve path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,7 +76,7 @@ pub struct WorkerNode {
     /// Cached `warm-digest` reply as `(warm_seq_at_fetch, (hash, seq))`.
     /// Valid while the worker's heartbeat-reported `warm_seq` matches
     /// the cached one, so unchanged workers cost no digest round-trip.
-    pub digest_cache: Mutex<Option<(u64, Vec<(u64, u64)>)>>,
+    pub digest_cache: Mutex<Option<(u64, DigestEntries)>>,
     /// Telemetry.
     pub counters: WorkerCounters,
 }

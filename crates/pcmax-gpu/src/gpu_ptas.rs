@@ -15,8 +15,9 @@ use exec_model::CpuModel;
 use gpu_sim::{DeviceSpec, GpuSim};
 use pcmax_core::{bounds, Instance, Schedule};
 use pcmax_ptas::rounding::{Rounding, RoundingOutcome};
-use pcmax_ptas::search::interval;
+use pcmax_ptas::search;
 use pcmax_ptas::{DpEngine, DpProblem, Ptas, SearchStrategy};
+use std::convert::Infallible;
 
 /// Configuration of the GPU PTAS simulation.
 #[derive(Debug, Clone)]
@@ -60,14 +61,12 @@ pub struct RoundRecord {
 #[derive(Debug, Clone)]
 pub struct GpuPtasOutcome {
     /// Converged target makespan.
-    /// Converged target makespan.
     pub target: u64,
     /// Quarter-split rounds (Table VII's GPU `#itr`).
     pub iterations: usize,
     /// Total modeled GPU time, ms (Table VII's GPU `runtime`).
     pub modeled_ms: f64,
-    /// Largest DP table encountered (the paper buckets by this).
-    /// Largest DP table probed.
+    /// Largest DP table probed (the paper buckets by this).
     pub max_table_size: usize,
     /// Per-round telemetry.
     pub rounds: Vec<RoundRecord>,
@@ -92,96 +91,89 @@ pub struct OmpOutcome {
     pub max_table_size: usize,
 }
 
-fn k_of(epsilon: f64) -> u64 {
-    (1.0 / epsilon).ceil() as u64
-}
-
 /// Runs the quarter-split GPU PTAS on the simulator.
 pub fn solve_gpu(inst: &Instance, cfg: &GpuPtasConfig) -> GpuPtasOutcome {
-    let k = k_of(cfg.epsilon);
+    // The real schedule comes from the CPU PTAS with the quarter split and
+    // the same blocked engine; it must converge to the simulated target.
+    let reference = Ptas::new(cfg.epsilon)
+        .with_engine(DpEngine::Blocked {
+            dim_limit: cfg.dim_limit,
+        })
+        .with_strategy(SearchStrategy::QuarterSplit);
+    let k = reference.k();
     let m = inst.machines();
-    let mut lb = bounds::lower_bound(inst);
-    let mut ub = bounds::upper_bound(inst);
     let mut rounds = Vec::new();
     let mut modeled_ms = 0.0;
     let mut max_table = 1usize;
 
-    while lb < ub {
-        let targets = interval::nary_targets(lb, ub, cfg.processes);
-        let mut sim = GpuSim::new(
-            cfg.spec.clone(),
-            cfg.processes * cfg.streams_per_process,
-        );
-        let mut outcomes = Vec::new();
-        let mut table_sizes = Vec::new();
-        for (p, &t) in targets.iter().enumerate() {
-            match Rounding::compute(inst, t, k) {
-                RoundingOutcome::Infeasible { .. } => {
-                    outcomes.push((t, false));
-                    table_sizes.push(0);
-                }
-                RoundingOutcome::Rounded(r) => {
-                    let problem = DpProblem::from_rounding(&r);
-                    table_sizes.push(problem.table_size());
-                    max_table = max_table.max(problem.table_size());
-                    // Real DP for feasibility; simulator for the clock.
-                    let sol = problem.solve(DpEngine::Blocked {
-                        dim_limit: cfg.dim_limit,
-                    });
-                    let feasible =
-                        sol.opt != pcmax_ptas::INFEASIBLE && sol.opt as usize <= m;
-                    outcomes.push((t, feasible));
-                    let analysis = TableAnalysis::analyze(&problem);
-                    let opts = PartitionOptions {
-                        dim_limit: cfg.dim_limit,
-                        streams: cfg.streams_per_process,
-                        ..PartitionOptions::default()
-                    };
-                    enqueue_partitioned(
-                        &problem,
-                        &analysis,
-                        &mut sim,
-                        p * cfg.streams_per_process,
-                        &opts,
-                    );
+    let Ok(target) = search::converge(
+        bounds::lower_bound(inst),
+        bounds::upper_bound(inst),
+        cfg.processes,
+        |lb, ub, targets| {
+            let mut sim = GpuSim::new(cfg.spec.clone(), cfg.processes * cfg.streams_per_process);
+            let mut feasible = Vec::new();
+            let mut table_sizes = Vec::new();
+            for (p, &t) in targets.iter().enumerate() {
+                match Rounding::compute(inst, t, k) {
+                    RoundingOutcome::Infeasible { .. } => {
+                        feasible.push(false);
+                        table_sizes.push(0);
+                    }
+                    RoundingOutcome::Rounded(r) => {
+                        let problem = DpProblem::from_rounding(&r);
+                        table_sizes.push(problem.table_size());
+                        max_table = max_table.max(problem.table_size());
+                        // Real DP for feasibility; simulator for the clock.
+                        let sol = problem.solve(DpEngine::Blocked {
+                            dim_limit: cfg.dim_limit,
+                        });
+                        feasible.push(sol.opt != pcmax_ptas::INFEASIBLE && sol.opt as usize <= m);
+                        let analysis = TableAnalysis::analyze(&problem);
+                        let opts = PartitionOptions {
+                            dim_limit: cfg.dim_limit,
+                            streams: cfg.streams_per_process,
+                            ..PartitionOptions::default()
+                        };
+                        enqueue_partitioned(
+                            &problem,
+                            &analysis,
+                            &mut sim,
+                            p * cfg.streams_per_process,
+                            &opts,
+                        );
+                    }
                 }
             }
-        }
-        let round_ms = sim.run().millis();
-        if pcmax_obs::enabled() {
-            // Lay each round on a search-level track: start at the modeled
-            // time already accumulated, so rounds abut on the time axis.
-            pcmax_obs::timeline::global().record(pcmax_obs::TimelineEvent {
-                track: "gpu.search".to_string(),
-                name: format!("round{} [{lb},{ub}]", rounds.len()),
-                start_us: (modeled_ms * 1_000.0) as u64,
-                dur_us: (round_ms * 1_000.0) as u64,
+            let round_ms = sim.run().millis();
+            if pcmax_obs::enabled() {
+                // Lay each round on a search-level track: start at the modeled
+                // time already accumulated, so rounds abut on the time axis.
+                pcmax_obs::timeline::global().record(pcmax_obs::TimelineEvent {
+                    track: "gpu.search".to_string(),
+                    name: format!("round{} [{lb},{ub}]", rounds.len()),
+                    start_us: (modeled_ms * 1_000.0) as u64,
+                    dur_us: (round_ms * 1_000.0) as u64,
+                });
+            }
+            modeled_ms += round_ms;
+            rounds.push(RoundRecord {
+                targets: targets.to_vec(),
+                table_sizes,
+                modeled_ms: round_ms,
             });
-        }
-        modeled_ms += round_ms;
-        rounds.push(RoundRecord {
-            targets: targets.clone(),
-            table_sizes,
-            modeled_ms: round_ms,
-        });
-        (lb, ub) = interval::nary_update(lb, ub, &outcomes);
-    }
+            Ok::<_, Infallible>(feasible)
+        },
+    );
 
-    // The real schedule: the CPU PTAS with the same quarter-split logic
-    // and the same blocked engine must converge to the same target.
-    let result = Ptas::new(cfg.epsilon)
-        .with_engine(DpEngine::Blocked {
-            dim_limit: cfg.dim_limit,
-        })
-        .with_strategy(SearchStrategy::QuarterSplit)
-        .solve(inst);
+    let result = reference.solve(inst);
     assert_eq!(
-        result.target, lb,
+        result.target, target,
         "simulated search diverged from the reference search"
     );
 
     GpuPtasOutcome {
-        target: lb,
+        target,
         iterations: rounds.len(),
         modeled_ms,
         max_table_size: max_table,
@@ -194,34 +186,38 @@ pub fn solve_gpu(inst: &Instance, cfg: &GpuPtasConfig) -> GpuPtasOutcome {
 /// Runs the bisection PTAS under the multicore cost model (the paper's
 /// OpenMP baseline). `cores` ∈ {16, 28} reproduces OMP16/OMP28.
 pub fn modeled_openmp_bisection(inst: &Instance, epsilon: f64, cores: usize) -> OmpOutcome {
-    let k = k_of(epsilon);
+    let k = Ptas::new(epsilon).k();
     let m = inst.machines();
     let model = CpuModel::xeon_e5_2697v3(cores);
-    let mut lb = bounds::lower_bound(inst);
-    let mut ub = bounds::upper_bound(inst);
     let mut iterations = 0usize;
     let mut modeled_ms = 0.0;
     let mut max_table = 1usize;
 
-    while lb < ub {
-        let t = interval::bisection_target(lb, ub);
-        let feasible = match Rounding::compute(inst, t, k) {
-            RoundingOutcome::Infeasible { .. } => false,
-            RoundingOutcome::Rounded(r) => {
-                let problem = DpProblem::from_rounding(&r);
-                max_table = max_table.max(problem.table_size());
-                let analysis = TableAnalysis::analyze(&problem);
-                modeled_ms += model.estimate_dp(&analysis.workload()).millis();
-                let sol = problem.solve(DpEngine::AntiDiagonal);
-                sol.opt != pcmax_ptas::INFEASIBLE && sol.opt as usize <= m
-            }
-        };
-        iterations += 1;
-        (lb, ub) = interval::bisection_update(lb, ub, t, feasible);
-    }
+    let Ok(target) = search::converge(
+        bounds::lower_bound(inst),
+        bounds::upper_bound(inst),
+        1,
+        |_, _, targets| {
+            iterations += 1;
+            let feasible = targets
+                .iter()
+                .map(|&t| match Rounding::compute(inst, t, k) {
+                    RoundingOutcome::Infeasible { .. } => false,
+                    RoundingOutcome::Rounded(r) => {
+                        let problem = DpProblem::from_rounding(&r);
+                        max_table = max_table.max(problem.table_size());
+                        let analysis = TableAnalysis::analyze(&problem);
+                        modeled_ms += model.estimate_dp(&analysis.workload()).millis();
+                        let sol = problem.solve(DpEngine::AntiDiagonal);
+                        sol.opt != pcmax_ptas::INFEASIBLE && sol.opt as usize <= m
+                    }
+                });
+            Ok::<_, Infallible>(feasible.collect())
+        },
+    );
 
     OmpOutcome {
-        target: lb,
+        target,
         iterations,
         modeled_ms,
         max_table_size: max_table,

@@ -207,7 +207,6 @@ fn argmin(values: &[u64]) -> (usize, &u64) {
         .iter()
         .enumerate()
         .min_by_key(|&(i, v)| (*v, i))
-        .map(|(i, v)| (i, v))
         .expect("non-empty")
 }
 
@@ -216,7 +215,6 @@ fn argmax(values: &[u64]) -> (usize, &u64) {
         .iter()
         .enumerate()
         .max_by_key(|&(i, v)| (*v, std::cmp::Reverse(i)))
-        .map(|(i, v)| (i, v))
         .expect("non-empty")
 }
 

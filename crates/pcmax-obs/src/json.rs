@@ -7,7 +7,7 @@
 //! non-finite floats (emitted as `null` — JSON has no NaN).
 
 /// Push-based JSON writer. Call `begin_object`/`begin_array`, then `key`
-/// + value (or bare values inside arrays); commas are inserted
+/// and a value (or bare values inside arrays); commas are inserted
 /// automatically.
 #[derive(Debug, Default)]
 pub struct JsonWriter {

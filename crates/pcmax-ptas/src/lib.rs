@@ -16,12 +16,14 @@
 //!    engines: sequential sweep, rayon anti-diagonal sweep
 //!    (Ghalami–Grosu Algorithm 2), and the block-partitioned sweep that
 //!    mirrors the paper's GPU data-partitioning scheme on the CPU;
-//! 3. feasibility (`OPT ≤ m`) steers the search: classic bisection
-//!    ([`search::bisection`]) or the paper's quarter split
-//!    ([`search::quarter`], Algorithm 3);
-//! 4. [`ptas`] — at the final `T`, walk the DP back into machine
-//!    configurations, place the actual long jobs, and list-schedule the
-//!    short jobs on top. Result: makespan ≤ `(1+ε)·OPT`.
+//! 3. feasibility (`OPT ≤ m`) steers one search loop,
+//!    [`search::converge`], which probes the midpoints of `segments`
+//!    equal parts of `[LB, UB]` per round: 1 segment is classic bisection
+//!    (Algorithm 1), 4 the paper's quarter split (Algorithm 3);
+//! 4. [`ptas`] — the DP of each feasible probe is walked back into
+//!    machine configurations; at the final `T` they place the actual long
+//!    jobs, and the short jobs are list-scheduled on top. Result:
+//!    makespan ≤ `(1+ε)·OPT`.
 //!
 //! [`config`] owns the enumeration of *machine configurations* — vectors
 //! `s` with `s ≤ v` and `Σ sᵢ·sizeᵢ ≤ T` — which is the inner loop of

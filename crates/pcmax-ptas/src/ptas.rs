@@ -1,6 +1,6 @@
 //! The end-to-end PTAS: search + rounding + DP + schedule construction.
 
-use crate::dp::{DpEngine, DpProblem};
+use crate::dp::DpEngine;
 use crate::rounding::{Rounding, RoundingOutcome};
 use crate::search::{self, SearchResult};
 use pcmax_core::{Instance, Schedule};
@@ -16,13 +16,23 @@ pub enum SearchStrategy {
     Bisection,
     /// Four concurrent probes per round (Algorithm 3, the GPU search).
     QuarterSplit,
-    /// Generalised split: `segments` probes per round, executed
-    /// concurrently on the rayon pool (the CPU analogue of running
-    /// `segments` Hyper-Q processes).
+    /// Generalised split: `segments` concurrent probes per round (the
+    /// CPU analogue of running `segments` Hyper-Q processes).
     NarySplit {
         /// Probes per round (≥ 1; 1 = bisection, 4 = quarter split).
         segments: usize,
     },
+}
+
+impl SearchStrategy {
+    /// Probes per round of [`search::run`].
+    pub fn segments(self) -> usize {
+        match self {
+            SearchStrategy::Bisection => 1,
+            SearchStrategy::QuarterSplit => 4,
+            SearchStrategy::NarySplit { segments } => segments,
+        }
+    }
 }
 
 /// The Hochbaum–Shmoys PTAS, configured by the relative error `ε`.
@@ -50,9 +60,9 @@ pub struct PtasResult {
     pub machines_used: usize,
     /// Search telemetry (rounds, probes, DP table sizes).
     pub search: SearchResult,
-    /// Wall time of the schedule-construction step (the DP rerun at `T*`
-    /// plus the walk-back and list scheduling), in µs. 0 unless
-    /// `pcmax_obs` recording is enabled.
+    /// Wall time of the schedule-construction step (placing the long
+    /// jobs by the final probe's configurations and list scheduling the
+    /// short ones), in µs. 0 unless `pcmax_obs` recording is enabled.
     pub build_us: u64,
 }
 
@@ -123,46 +133,25 @@ impl Ptas {
     /// Runs the full PTAS on `inst`.
     pub fn solve(&self, inst: &Instance) -> PtasResult {
         let k = self.k();
-        let search = match self.strategy {
-            SearchStrategy::Bisection => search::bisection(inst, k, self.engine),
-            SearchStrategy::QuarterSplit => search::quarter(inst, k, self.engine),
-            SearchStrategy::NarySplit { segments } => {
-                search::nary_parallel(inst, k, self.engine, segments)
-            }
-        };
+        let search = search::run(inst, k, self.engine, self.strategy.segments());
         let target = search.target;
         let build_timer = pcmax_obs::Timer::start();
-        let (schedule, machines_used) = self.build_schedule(inst, target, k);
-        let build_us = build_timer.elapsed_us();
-        let makespan = schedule.makespan(inst);
-        PtasResult {
-            schedule,
-            makespan,
-            target,
-            machines_used,
-            search,
-            build_us,
-        }
-    }
-
-    /// Builds the schedule for a given (feasible) target: DP for the long
-    /// jobs, walk-back into machine configurations, then greedy
-    /// list-scheduling of the short jobs on top.
-    fn build_schedule(&self, inst: &Instance, target: u64, k: u64) -> (Schedule, usize) {
         let rounding = match Rounding::compute(inst, target, k) {
             RoundingOutcome::Rounded(r) => r,
             RoundingOutcome::Infeasible { longest } => {
                 unreachable!("target {target} below longest job {longest}")
             }
         };
-        // Long jobs: one machine per extracted configuration.
-        let problem = DpProblem::from_rounding(&rounding);
-        let sol = problem.solve(self.engine);
-        let machine_configs = problem
-            .extract_configs(&sol.values)
-            .expect("search only converges on feasible targets");
-        let schedule = assemble_schedule(inst, &rounding, &machine_configs);
-        (schedule, machine_configs.len())
+        let schedule = assemble_schedule(inst, &rounding, &search.configs);
+        let build_us = build_timer.elapsed_us();
+        PtasResult {
+            makespan: schedule.makespan(inst),
+            schedule,
+            target,
+            machines_used: search.configs.len(),
+            search,
+            build_us,
+        }
     }
 }
 
@@ -174,9 +163,8 @@ impl Ptas {
 /// `machine_configs[i][c]` is how many class-`c` long jobs machine `i`
 /// runs; entries must sum to the class counts of `rounding`, with
 /// `machine_configs.len() ≤ inst.machines()`. This is the shared tail of
-/// [`Ptas::solve`], public so callers that obtain configurations some
-/// other way — e.g. a memo cache of DP solutions — can still build
-/// schedules.
+/// [`Ptas::solve`] and of callers that obtain configurations some other
+/// way — e.g. a memo cache of DP solutions.
 pub fn assemble_schedule(
     inst: &Instance,
     rounding: &Rounding,

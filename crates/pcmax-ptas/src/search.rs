@@ -1,28 +1,31 @@
-//! Target-makespan search: classic bisection (Algorithm 1) and the
-//! paper's quarter split (Algorithm 3).
+//! Target-makespan search (paper Algorithms 1 and 3).
 //!
-//! Both searches drive the same *dual-approximation probe*: for a target
-//! `T`, round the jobs and ask the DP whether the rounded long jobs pack
-//! into `m` machines of capacity `T`. An infeasible probe proves
-//! `OPT > T` (rounding only shrinks loads), so at convergence the final
-//! target satisfies `T* ≤ OPT`, which is what the `(1+ε)` guarantee needs.
+//! [`converge`] is the one target-search loop of the workspace. Each
+//! round cuts `[LB, UB]` into `segments` equal segments, probes their
+//! midpoints, and keeps the part between the last infeasible and the
+//! first feasible probe, until `LB = UB`. One segment is the classic
+//! bisection (Algorithm 1); four is the paper's quarter split
+//! (Algorithm 3), which shrinks the interval to at most a quarter (often
+//! an eighth) per round. A round counts once however many probes it
+//! runs, so iteration counts match Table VII's accounting. Callers supply
+//! only the per-round probe: [`run`] here, the service's cache-backed
+//! solve, and the GPU and OpenMP models.
 //!
-//! The quarter split probes four targets per round — the segment midpoints
-//! of `[LB, UB]` cut into four — and shrinks the interval to at most a
-//! quarter (often an eighth) per round instead of a half. On the paper's
-//! GPU the four probes run concurrently via Hyper-Q; on the CPU engines
-//! they are still counted as one *round* so iteration counts match
-//! Table VII's accounting.
+//! Every probe is the same *dual-approximation probe*: for a target `T`,
+//! round the jobs and ask the DP whether the rounded long jobs pack into
+//! `m` machines of capacity `T`. An infeasible probe proves `OPT > T`
+//! (rounding only shrinks loads), so at convergence the final target
+//! satisfies `T* ≤ OPT`, which is what the `(1+ε)` guarantee needs.
 
-use crate::dp::{DpEngine, DpProblem, DpStats};
+use crate::dp::{DpEngine, DpProblem, DpStats, INFEASIBLE};
 use crate::rounding::{Rounding, RoundingOutcome};
 use pcmax_core::{bounds, Instance};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::convert::Infallible;
+use std::sync::Arc;
 
-/// Pure interval arithmetic of the two searches, shared with the GPU
-/// driver in `pcmax-gpu` (which needs to step rounds itself to simulate
-/// the four concurrent probes of each quarter-split round).
+/// Pure interval arithmetic of the search.
 pub mod interval {
     /// Bisection probe target: `lb + (ub − lb)/2`, never `(lb + ub)/2` —
     /// the sum wraps when both endpoints sit near `u64::MAX` (untrusted
@@ -34,18 +37,10 @@ pub mod interval {
         lb + (ub - lb) / 2
     }
 
-    /// Bisection interval update.
-    pub fn bisection_update(lb: u64, ub: u64, target: u64, feasible: bool) -> (u64, u64) {
-        if feasible {
-            (lb, target)
-        } else {
-            (target + 1, ub)
-        }
-    }
-
     /// `n`-ary split probe targets: midpoints of the `segments` equal
     /// segments of `[lb, ub]`, deduplicated (they collapse on narrow
-    /// intervals). The paper's quarter split is `segments = 4`.
+    /// intervals). One segment gives `[bisection_target(lb, ub)]`; the
+    /// paper's quarter split is `segments = 4`.
     pub fn nary_targets(lb: u64, ub: u64, segments: usize) -> Vec<u64> {
         assert!(segments >= 1);
         debug_assert!(lb <= ub);
@@ -66,7 +61,7 @@ pub mod interval {
     /// `n`-ary interval update from `(target, feasible)` pairs in
     /// ascending target order (Alg. 3 lines 13–25 generalised): the first
     /// feasible probe becomes the new UB; the last infeasible probe below
-    /// it pushes the LB.
+    /// it pushes the LB. With one probe this is the bisection update.
     pub fn nary_update(lb: u64, ub: u64, probes: &[(u64, bool)]) -> (u64, u64) {
         debug_assert!(probes.windows(2).all(|w| w[0].0 < w[1].0));
         match probes.iter().position(|&(_, f)| f) {
@@ -75,16 +70,29 @@ pub mod interval {
             None => (probes.last().expect("at least one probe").0 + 1, ub),
         }
     }
+}
 
-    /// The paper's quarter-split targets (`segments = 4`).
-    pub fn quarter_targets(lb: u64, ub: u64) -> Vec<u64> {
-        nary_targets(lb, ub, 4)
+/// Searches `[lb, ub]` for the smallest probe-feasible target, probing
+/// `segments` targets per round, and returns it.
+///
+/// `round(lb, ub, targets)` answers one round: whether each of
+/// `targets` (ascending, inside `[lb, ub]`) is feasible. An `Err` stops
+/// the search and is returned unchanged. The caller guarantees that `ub`
+/// is feasible; `lb == ub` runs no round.
+pub fn converge<E>(
+    mut lb: u64,
+    mut ub: u64,
+    segments: usize,
+    mut round: impl FnMut(u64, u64, &[u64]) -> Result<Vec<bool>, E>,
+) -> Result<u64, E> {
+    while lb < ub {
+        let targets = interval::nary_targets(lb, ub, segments);
+        let feasible = round(lb, ub, &targets)?;
+        debug_assert_eq!(feasible.len(), targets.len());
+        let outcomes: Vec<(u64, bool)> = targets.into_iter().zip(feasible).collect();
+        (lb, ub) = interval::nary_update(lb, ub, &outcomes);
     }
-
-    /// The paper's quarter-split update.
-    pub fn quarter_update(lb: u64, ub: u64, probes: &[(u64, bool)]) -> (u64, u64) {
-        nary_update(lb, ub, probes)
-    }
+    Ok(lb)
 }
 
 /// One DP probe at a target makespan.
@@ -108,10 +116,12 @@ pub struct ProbeRecord {
     pub rounding_us: u64,
     /// DP statistics (zeroed for cached/degenerate probes).
     pub dp_stats: DpStats,
+    /// Machine configurations realising `opt`, one per machine; extracted
+    /// only for feasible probes.
+    pub configs: Option<Arc<Vec<Vec<usize>>>>,
 }
 
-/// One search round: a single probe for bisection, up to four for the
-/// quarter split.
+/// One search round: one probe per segment.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct IterationRecord {
     /// Interval lower bound at the start of the round.
@@ -135,6 +145,9 @@ pub struct SearchResult {
     pub cache_hits: usize,
     /// Per-round telemetry.
     pub records: Vec<IterationRecord>,
+    /// Machine configurations of the probe at `target`, one per machine
+    /// the DP used for the long jobs.
+    pub configs: Arc<Vec<Vec<usize>>>,
 }
 
 /// Probes a single target: rounding + DP feasibility against `m` machines.
@@ -152,181 +165,101 @@ pub fn probe(inst: &Instance, target: u64, k: u64, m: usize, engine: DpEngine) -
             cached: false,
             rounding_us,
             dp_stats: DpStats::default(),
+            configs: None,
         },
         RoundingOutcome::Rounded(r) => {
             let problem = DpProblem::from_rounding(&r);
             let sol = problem.solve(engine);
+            let feasible = sol.opt != INFEASIBLE && sol.opt as usize <= m;
+            let configs = if feasible {
+                problem.extract_configs(&sol.values).map(Arc::new)
+            } else {
+                None
+            };
             ProbeRecord {
                 target,
-                feasible: sol.opt != crate::dp::INFEASIBLE && sol.opt as usize <= m,
+                feasible,
                 opt: Some(sol.opt),
                 table_size: problem.table_size(),
                 ndim: r.ndim(),
                 cached: false,
                 rounding_us,
                 dp_stats: sol.stats,
+                configs,
             }
         }
     }
 }
 
-/// Shared memoised prober: identical targets across rounds are answered
-/// once (the paper observes "some scheduling configurations appear
-/// multiple times … which implies repeated calculations").
-struct Prober<'a> {
-    inst: &'a Instance,
-    k: u64,
-    m: usize,
-    engine: DpEngine,
-    memo: BTreeMap<u64, ProbeRecord>,
-    dp_runs: usize,
-    cache_hits: usize,
-}
-
-impl<'a> Prober<'a> {
-    fn new(inst: &'a Instance, k: u64, m: usize, engine: DpEngine) -> Self {
-        Self {
-            inst,
-            k,
-            m,
-            engine,
-            memo: BTreeMap::new(),
-            dp_runs: 0,
-            cache_hits: 0,
-        }
-    }
-
-    fn probe(&mut self, target: u64) -> ProbeRecord {
-        if let Some(hit) = self.memo.get(&target) {
-            self.cache_hits += 1;
-            let mut rec = hit.clone();
-            rec.cached = true;
-            return rec;
-        }
-        let rec = probe(self.inst, target, self.k, self.m, self.engine);
-        self.dp_runs += 1;
-        self.memo.insert(target, rec.clone());
-        rec
-    }
-}
-
-/// Classic bisection (Algorithm 1 lines 5–14).
-pub fn bisection(inst: &Instance, k: u64, engine: DpEngine) -> SearchResult {
-    let m = inst.machines();
-    let mut lb = bounds::lower_bound(inst);
-    let mut ub = bounds::upper_bound(inst);
-    let mut prober = Prober::new(inst, k, m, engine);
+/// Runs the target search with `segments` probes per round: 1 is
+/// bisection (Algorithm 1), 4 the paper's quarter split (Algorithm 3);
+/// more segments trade probes for rounds (the "why four processes?"
+/// ablation).
+///
+/// Identical targets across rounds are probed once (the paper observes
+/// "some scheduling configurations appear multiple times … which implies
+/// repeated calculations"). A round's fresh targets run concurrently on
+/// the rayon pool — the CPU analogue of the paper's Hyper-Q processes;
+/// probes are pure, so the result does not depend on the pool.
+pub fn run(inst: &Instance, k: u64, engine: DpEngine, segments: usize) -> SearchResult {
+    let mut memo = BTreeMap::new();
+    let mut cache_hits = 0;
     let mut records = Vec::new();
-    while lb < ub {
-        let t = interval::bisection_target(lb, ub);
-        let rec = prober.probe(t);
-        let feasible = rec.feasible;
-        records.push(IterationRecord {
-            lb,
-            ub,
-            probes: vec![rec],
-        });
-        (lb, ub) = interval::bisection_update(lb, ub, t, feasible);
-    }
-    finish(lb, &mut prober, records)
-}
-
-/// The paper's quarter split (Algorithm 3): four probes per round at the
-/// midpoints of the four equal segments of `[LB, UB]`.
-pub fn quarter(inst: &Instance, k: u64, engine: DpEngine) -> SearchResult {
-    nary(inst, k, engine, 4)
-}
-
-/// Generalised `n`-ary split: `segments` probes per round. `segments = 1`
-/// degenerates to bisection, `segments = 4` is the paper's quarter split;
-/// larger values trade more concurrent probes for fewer rounds (the
-/// "why four processes?" ablation).
-pub fn nary(inst: &Instance, k: u64, engine: DpEngine, segments: usize) -> SearchResult {
-    nary_impl(inst, k, engine, segments, false)
-}
-
-/// Like [`nary`], but the probes of each round run *concurrently* on the
-/// rayon pool — the CPU analogue of the paper's four Hyper-Q processes.
-/// Produces bit-identical results to the serial form (probes are pure
-/// and the memo is merged deterministically after each round).
-pub fn nary_parallel(inst: &Instance, k: u64, engine: DpEngine, segments: usize) -> SearchResult {
-    nary_impl(inst, k, engine, segments, true)
-}
-
-fn nary_impl(
-    inst: &Instance,
-    k: u64,
-    engine: DpEngine,
-    segments: usize,
-    parallel: bool,
-) -> SearchResult {
-    use rayon::prelude::*;
-    let m = inst.machines();
-    let mut lb = bounds::lower_bound(inst);
-    let mut ub = bounds::upper_bound(inst);
-    let mut prober = Prober::new(inst, k, m, engine);
-    let mut records = Vec::new();
-    while lb < ub {
-        let targets = interval::nary_targets(lb, ub, segments);
-        let probes: Vec<ProbeRecord> = if parallel {
-            // Split into cache hits (answered from the memo) and fresh
-            // targets (probed concurrently; `probe` is pure).
-            let fresh: Vec<u64> = targets
-                .iter()
-                .copied()
-                .filter(|t| !prober.memo.contains_key(t))
-                .collect();
-            // Set view for O(1) membership below — the Vec scan was
-            // O(probes²) per round, O(rounds·probes²) per search.
-            let fresh_set: std::collections::HashSet<u64> = fresh.iter().copied().collect();
-            let computed: Vec<ProbeRecord> = fresh
-                .par_iter()
-                .map(|&t| probe(inst, t, k, m, engine))
-                .collect();
-            for rec in computed {
-                prober.dp_runs += 1;
-                prober.memo.insert(rec.target, rec);
-            }
-            targets
-                .iter()
-                .map(|&t| {
-                    // Every target is memoised now; count the ones that
-                    // were already there as cache hits.
-                    if fresh_set.contains(&t) {
-                        prober.memo[&t].clone()
-                    } else {
-                        prober.cache_hits += 1;
-                        let mut rec = prober.memo[&t].clone();
-                        rec.cached = true;
-                        rec
-                    }
-                })
-                .collect()
-        } else {
-            targets.iter().map(|&t| prober.probe(t)).collect()
-        };
-        let outcomes: Vec<(u64, bool)> = probes.iter().map(|p| (p.target, p.feasible)).collect();
+    let lb = bounds::lower_bound(inst);
+    let ub = bounds::upper_bound(inst);
+    let Ok(target) = converge(lb, ub, segments, |lb, ub, targets| {
+        let probes = probe_memo(inst, k, engine, targets, &mut memo, &mut cache_hits);
+        let feasible = probes.iter().map(|p| p.feasible).collect();
         records.push(IterationRecord { lb, ub, probes });
-        (lb, ub) = interval::nary_update(lb, ub, &outcomes);
-    }
-    finish(lb, &mut prober, records)
-}
-
-fn finish(target: u64, prober: &mut Prober<'_>, records: Vec<IterationRecord>) -> SearchResult {
-    // The converged target is feasible by the search invariant; make sure
-    // it is in the memo so callers can rebuild its DP cheaply.
-    let final_probe = prober.probe(target);
-    debug_assert!(
-        final_probe.feasible,
-        "search converged on an infeasible target {target}"
-    );
+        Ok::<_, Infallible>(feasible)
+    });
+    // The converged target is feasible by the search invariant; its probe
+    // (a memo hit unless `lb == ub` or every probe was infeasible) holds
+    // the configurations the schedule is built from.
+    let configs = probe_memo(inst, k, engine, &[target], &mut memo, &mut cache_hits)
+        .pop()
+        .and_then(|p| p.configs)
+        .unwrap_or_else(|| panic!("search converged on an infeasible target {target}"));
     SearchResult {
         target,
         iterations: records.len(),
-        dp_runs: prober.dp_runs,
-        cache_hits: prober.cache_hits,
+        dp_runs: memo.len(),
+        cache_hits,
         records,
+        configs,
     }
+}
+
+/// Probes ascending `targets` through the memo: hits are answered from
+/// it (and counted), the fresh targets are probed concurrently and
+/// memoised.
+fn probe_memo(
+    inst: &Instance,
+    k: u64,
+    engine: DpEngine,
+    targets: &[u64],
+    memo: &mut BTreeMap<u64, ProbeRecord>,
+    cache_hits: &mut usize,
+) -> Vec<ProbeRecord> {
+    use rayon::prelude::*;
+    let fresh: Vec<u64> = targets
+        .iter()
+        .copied()
+        .filter(|t| !memo.contains_key(t))
+        .collect();
+    *cache_hits += targets.len() - fresh.len();
+    let computed: Vec<ProbeRecord> = fresh
+        .par_iter()
+        .map(|&t| probe(inst, t, k, inst.machines(), engine))
+        .collect();
+    memo.extend(computed.into_iter().map(|rec| (rec.target, rec)));
+    targets
+        .iter()
+        .map(|t| ProbeRecord {
+            cached: fresh.binary_search(t).is_err(),
+            ..memo[t].clone()
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -341,8 +274,8 @@ mod tests {
     fn bisection_and_quarter_agree_on_target() {
         for seed in 0..6 {
             let inst = uniform(seed, 12, 3, 5, 40);
-            let b = bisection(&inst, 4, ENGINE);
-            let q = quarter(&inst, 4, ENGINE);
+            let b = run(&inst, 4, ENGINE, 1);
+            let q = run(&inst, 4, ENGINE, 4);
             assert_eq!(b.target, q.target, "seed {seed}");
         }
     }
@@ -351,8 +284,8 @@ mod tests {
     fn quarter_needs_no_more_rounds_than_bisection() {
         for seed in 0..6 {
             let inst = uniform(100 + seed, 14, 4, 5, 60);
-            let b = bisection(&inst, 4, ENGINE);
-            let q = quarter(&inst, 4, ENGINE);
+            let b = run(&inst, 4, ENGINE, 1);
+            let q = run(&inst, 4, ENGINE, 4);
             assert!(
                 q.iterations <= b.iterations,
                 "seed {seed}: quarter {} vs bisection {}",
@@ -369,7 +302,7 @@ mod tests {
         for seed in 0..5 {
             let inst = uniform(200 + seed, 9, 3, 3, 25);
             let opt = brute_force_makespan(&inst);
-            let b = bisection(&inst, 4, ENGINE);
+            let b = run(&inst, 4, ENGINE, 1);
             assert!(b.target <= opt, "seed {seed}: T*={} opt={opt}", b.target);
             assert!(b.target >= pcmax_core::lower_bound(&inst));
         }
@@ -395,16 +328,16 @@ mod tests {
     #[test]
     fn cache_avoids_duplicate_dp_runs() {
         let inst = uniform(17, 15, 3, 5, 45);
-        let q = quarter(&inst, 4, ENGINE);
+        let q = run(&inst, 4, ENGINE, 4);
         let total_probes: usize = q.records.iter().map(|r| r.probes.len()).sum();
-        // +1 for the final convergence probe inside `finish`.
+        // +1 for the final probe at the converged target.
         assert_eq!(q.dp_runs + q.cache_hits, total_probes + 1);
     }
 
     #[test]
     fn single_machine_converges_to_total_work() {
         let inst = uniform(3, 8, 1, 2, 9);
-        let b = bisection(&inst, 4, ENGINE);
+        let b = run(&inst, 4, ENGINE, 1);
         assert_eq!(b.target, inst.total_work());
     }
 
@@ -413,43 +346,67 @@ mod tests {
         // One job on two machines: OPT = t; LB = t is feasible so both
         // searches walk the interval [t, t + t] down to t.
         let inst = Instance::new(vec![10], 2);
-        let b = bisection(&inst, 4, ENGINE);
-        let q = quarter(&inst, 4, ENGINE);
+        let b = run(&inst, 4, ENGINE, 1);
+        let q = run(&inst, 4, ENGINE, 4);
         assert_eq!(b.target, 10);
         assert_eq!(q.target, 10);
         assert!(q.iterations <= b.iterations);
     }
 
     #[test]
-    fn parallel_nary_matches_serial_exactly() {
+    fn one_segment_probes_bisection_midpoints() {
         for seed in 0..4 {
-            let inst = uniform(900 + seed, 20, 4, 5, 80);
-            for segments in [2usize, 4, 8] {
-                let serial = nary(&inst, 4, ENGINE, segments);
-                let parallel = nary_parallel(&inst, 4, ENGINE, segments);
-                assert_eq!(serial.target, parallel.target);
-                assert_eq!(serial.iterations, parallel.iterations);
-                assert_eq!(serial.dp_runs, parallel.dp_runs);
-                assert_eq!(serial.records.len(), parallel.records.len());
-                for (a, b) in serial.records.iter().zip(&parallel.records) {
-                    assert_eq!(a.lb, b.lb);
-                    assert_eq!(a.ub, b.ub);
-                    let ta: Vec<u64> = a.probes.iter().map(|p| p.target).collect();
-                    let tb: Vec<u64> = b.probes.iter().map(|p| p.target).collect();
-                    assert_eq!(ta, tb);
-                }
+            let inst = uniform(700 + seed, 15, 4, 5, 50);
+            let b = run(&inst, 4, ENGINE, 1);
+            for rec in &b.records {
+                let targets: Vec<u64> = rec.probes.iter().map(|p| p.target).collect();
+                assert_eq!(targets, vec![interval::bisection_target(rec.lb, rec.ub)]);
             }
         }
     }
 
     #[test]
-    fn nary_one_segment_equals_bisection() {
-        for seed in 0..4 {
-            let inst = uniform(700 + seed, 15, 4, 5, 50);
-            let b = bisection(&inst, 4, ENGINE);
-            let n1 = nary(&inst, 4, ENGINE, 1);
-            assert_eq!(b.target, n1.target);
-            assert_eq!(b.iterations, n1.iterations);
+    fn equal_bounds_run_no_round() {
+        let mut rounds = 0;
+        let target = converge(7, 7, 4, |_, _, targets| {
+            rounds += 1;
+            Ok::<_, ()>(vec![true; targets.len()])
+        });
+        assert_eq!(target, Ok(7));
+        assert_eq!(rounds, 0);
+    }
+
+    #[test]
+    fn probe_error_stops_the_search_unchanged() {
+        let mut rounds = 0;
+        let result = converge(0, 1_000, 1, |_, _, targets| {
+            rounds += 1;
+            if rounds == 3 {
+                Err("deadline")
+            } else {
+                Ok(vec![false; targets.len()])
+            }
+        });
+        assert_eq!(result, Err("deadline"));
+        assert_eq!(rounds, 3);
+    }
+
+    #[test]
+    fn final_configs_pack_the_rounded_long_jobs() {
+        let inst = uniform(31, 20, 4, 5, 60);
+        let r = run(&inst, 4, ENGINE, 4);
+        assert!(r.configs.len() <= inst.machines());
+        let RoundingOutcome::Rounded(rounding) = Rounding::compute(&inst, r.target, 4) else {
+            panic!("converged target below the longest job");
+        };
+        let long_jobs: usize = r.configs.iter().flatten().sum();
+        assert_eq!(
+            long_jobs,
+            rounding.classes.iter().map(|c| c.jobs.len()).sum::<usize>()
+        );
+        // Only feasible probes carry configurations.
+        for p in r.records.iter().flat_map(|rec| &rec.probes) {
+            assert_eq!(p.configs.is_some(), p.feasible, "probe at {}", p.target);
         }
     }
 
@@ -459,8 +416,8 @@ mod tests {
             let inst = uniform(800 + seed, 18, 4, 10, 90);
             let mut prev_rounds = usize::MAX;
             for segments in [1usize, 2, 4, 8, 16] {
-                let r = nary(&inst, 4, ENGINE, segments);
-                assert_eq!(r.target, bisection(&inst, 4, ENGINE).target);
+                let r = run(&inst, 4, ENGINE, segments);
+                assert_eq!(r.target, run(&inst, 4, ENGINE, 1).target);
                 assert!(
                     r.iterations <= prev_rounds,
                     "seed {seed}, {segments} segments: {} rounds after {prev_rounds}",
@@ -518,24 +475,24 @@ mod tests {
         let inst = Instance::new(vec![u64::MAX - 20, 3, 2, 1], 2);
         let opt = u64::MAX - 20;
         for segments in [1usize, 4] {
-            let r = nary(&inst, 4, ENGINE, segments);
+            let r = run(&inst, 4, ENGINE, segments);
             assert_eq!(r.target, opt, "{segments}-ary");
             assert!(r.records.iter().all(|rec| rec.lb <= rec.ub));
         }
-        let b = bisection(&inst, 4, ENGINE);
+        let b = run(&inst, 4, ENGINE, 1);
         assert_eq!(b.target, opt);
     }
 
     #[test]
     fn records_track_shrinking_interval() {
         let inst = uniform(23, 18, 4, 10, 80);
-        let b = bisection(&inst, 4, ENGINE);
+        let b = run(&inst, 4, ENGINE, 1);
         for w in b.records.windows(2) {
             let prev = w[0].ub - w[0].lb;
             let next = w[1].ub - w[1].lb;
             assert!(next < prev, "interval must shrink");
         }
-        let q = quarter(&inst, 4, ENGINE);
+        let q = run(&inst, 4, ENGINE, 4);
         for w in q.records.windows(2) {
             let prev = w[0].ub - w[0].lb;
             let next = w[1].ub - w[1].lb;

@@ -129,6 +129,7 @@ mod tests {
             cached: true,
             rounding_us: 0,
             dp_stats: DpStats::default(),
+            configs: None,
         };
         let span = probe_span(&probe);
         assert!(span.children.is_empty());

@@ -149,8 +149,13 @@ proptest! {
         for &t in &targets {
             prop_assert!(lb <= t && t <= ub, "n-ary target {} outside [{}, {}]", t, lb, ub);
         }
-        // One segment degenerates to bisection.
+        // One segment degenerates to bisection: the midpoint, and the
+        // bisection update of the interval.
         prop_assert_eq!(interval::nary_targets(lb, ub, 1), vec![mid]);
+        if lb < ub {
+            prop_assert_eq!(interval::nary_update(lb, ub, &[(mid, true)]), (lb, mid));
+            prop_assert_eq!(interval::nary_update(lb, ub, &[(mid, false)]), (mid + 1, ub));
+        }
     }
 
     #[test]

@@ -795,8 +795,10 @@ mod tests {
 
     #[test]
     fn stats_line_is_json_with_cache_counters() {
-        let mut report = ServiceReport::default();
-        report.accepted = 5;
+        let mut report = ServiceReport {
+            accepted: 5,
+            ..ServiceReport::default()
+        };
         report.cache.hits = 3;
         let line = format_stats(&report);
         assert!(line.starts_with("stats {"), "{line}");

@@ -1,12 +1,13 @@
 //! Cache-backed PTAS solving with deadline checks.
 //!
-//! The service's solve path re-implements the target bisection of
-//! `pcmax_ptas::search` on top of the shared [`ShardedCache`]: every DP
-//! probe first canonicalises its rounded problem to a
-//! [`DpKey`] — `(class counts, gcd-normalised sizes, normalised
-//! capacity)` — and consults the cache. Distinct instances (and distinct
-//! targets of the *same* instance) frequently collapse to the same key,
-//! so a warm service answers most probes without running the DP at all.
+//! The service's solve path runs the bisection of
+//! [`pcmax_ptas::search::converge`] with probes backed by the shared
+//! [`ShardedCache`]: every DP probe first canonicalises its rounded
+//! problem to a [`DpKey`] — `(class counts, gcd-normalised sizes,
+//! normalised capacity)` — and consults the cache. Distinct instances
+//! (and distinct targets of the *same* instance) frequently collapse to
+//! the same key, so a warm service answers most probes without running
+//! the DP at all.
 //!
 //! Cached entries are machine-count independent: the DP computes
 //! `OPT(N)`, the minimum number of machines, and feasibility for a
@@ -19,6 +20,7 @@ use pcmax_core::{bounds, Instance, Schedule};
 use pcmax_ptas::dp::INFEASIBLE;
 use pcmax_ptas::ptas::assemble_schedule;
 use pcmax_ptas::rounding::{Rounding, RoundingOutcome};
+use pcmax_ptas::search::{self, interval};
 use pcmax_ptas::{DpEngine, DpKey, DpProblem};
 use pcmax_sparse::{PlannedRepr, SparseError};
 use pcmax_store::{ScratchDir, StoreBudget, StoreConfig, TieredStore};
@@ -172,9 +174,10 @@ pub struct SolveOutcome {
 
 /// Store cost model reused by the portfolio selector: estimated ns per
 /// resident DP cell per probe. Dense is one slab pass; sparse pays hash
-/// + value-bucket overhead per retained cell; paged amortises page-codec
-/// and fault traffic on top. Upper-biased on purpose — the selector
-/// should only commit to a DP when it is *comfortably* affordable.
+/// and value-bucket overhead per retained cell; paged amortises
+/// page-codec and fault traffic on top. Upper-biased on purpose — the
+/// selector should only commit to a DP when it is *comfortably*
+/// affordable.
 const DENSE_NS_PER_CELL: u64 = 8;
 const SPARSE_NS_PER_CELL: u64 = 60;
 const PAGED_NS_PER_CELL: u64 = 600;
@@ -241,7 +244,7 @@ pub fn probe_features(inst: &Instance, k: u64, opts: &SolverOptions) -> Instance
     // The bisection midpoint's rounding stands in for the whole search:
     // table dimensions depend on the target only through the class
     // structure, which varies slowly across the interval.
-    let t = lb + (ub - lb) / 2;
+    let t = interval::bisection_target(lb, ub);
     let (dense_cells, dense_bytes, sparse_cells, sparse_bytes, planned) =
         match Rounding::compute(inst, t, k) {
             // Unreachable in practice (t ≥ lb ≥ max tⱼ), kept total.
@@ -509,41 +512,26 @@ pub fn solve_cached(
     warm: Option<&WarmTier>,
     deadline: Option<Instant>,
 ) -> Result<SolveOutcome, Degrade> {
-    let mut lb = bounds::lower_bound(inst);
-    let mut ub = bounds::upper_bound(inst);
     let mut hits = 0u64;
     let mut misses = 0u64;
     let mut repr = ReprCounts::default();
-
-    let expired = |now: Instant| deadline.is_some_and(|d| now >= d);
-
-    // Invariant: `ub` is always probe-feasible (the initial upper bound
-    // is an achieved LPT makespan, and rounding only shrinks loads).
-    while lb < ub {
-        if expired(Instant::now()) {
+    let mut probe = |t: u64| {
+        if deadline.is_some_and(|d| Instant::now() >= d) {
             return Err(Degrade::DeadlineExceeded);
         }
-        // Overflow-safe midpoint (same fix as `search::interval`): the
-        // plain sum wraps for u64-scale instances admitted by the gate.
-        let t = lb + (ub - lb) / 2;
-        let outcome = probe_cached(
+        probe_cached(
             inst, t, k, opts, cache, warm, &mut hits, &mut misses, &mut repr,
-        )?;
-        if outcome.feasible {
-            ub = t;
-        } else {
-            lb = t + 1;
-        }
-    }
-
-    if expired(Instant::now()) {
-        return Err(Degrade::DeadlineExceeded);
-    }
-    let target = ub;
-    let final_probe = probe_cached(
-        inst, target, k, opts, cache, warm, &mut hits, &mut misses, &mut repr,
+        )
+    };
+    // Invariant: `ub` is always probe-feasible (the initial upper bound
+    // is an achieved LPT makespan, and rounding only shrinks loads).
+    let target = search::converge(
+        bounds::lower_bound(inst),
+        bounds::upper_bound(inst),
+        1,
+        |_, _, targets| targets.iter().map(|&t| Ok(probe(t)?.feasible)).collect(),
     )?;
-    let configs = final_probe
+    let configs = probe(target)?
         .configs
         .expect("converged target is feasible, so configs exist");
     let rounding = match Rounding::compute(inst, target, k) {

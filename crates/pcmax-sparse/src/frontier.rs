@@ -17,6 +17,9 @@
 
 use std::collections::{BTreeMap, HashMap};
 
+/// Retained `(cell, value)` pairs of one anti-diagonal level.
+type LevelBucket = Vec<(Box<[u32]>, u32)>;
+
 /// What the frontier knows about one settled cell.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellInfo {
@@ -48,7 +51,7 @@ pub struct Frontier {
     /// Retained `(cell, value)` pairs bucketed by anti-diagonal level
     /// `Σᵢ cellᵢ`; values are duplicated here so dominance scans never
     /// touch the hash map.
-    levels: BTreeMap<usize, Vec<(Box<[u32]>, u32)>>,
+    levels: BTreeMap<usize, LevelBucket>,
     settled: HashMap<Box<[u32]>, CellInfo>,
 }
 

@@ -117,7 +117,7 @@ mod tests {
         assert_eq!(budget.used(), 70);
         let evicted = budget.charge(b"c", 40);
         assert_eq!(evicted, vec![b"b".to_vec()]);
-        assert!(budget.sizes.contains_key(&b"a".to_vec()));
+        assert!(budget.sizes.contains_key(b"a".as_slice()));
     }
 
     #[test]

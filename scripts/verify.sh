@@ -10,9 +10,9 @@ cargo test -q
 # Every workspace crate's suites (unit, integration, proptests), not only
 # the facade package's.
 cargo test --workspace -q
-# Lints over every target (tests, benches, examples included): a
-# deny-level lint fails the gate; warnings are reported, not fatal.
-cargo clippy --workspace --all-targets -q
+# Lints over every target (tests, benches, examples included): any
+# warning fails the gate.
+cargo clippy --workspace --all-targets -q -- -D warnings
 
 # Cluster smoke: a tiny sharded-serving workload through the real
 # coordinator + loopback workers, with a mid-load kill to exercise

@@ -529,7 +529,7 @@ mod tests {
 
         #[test]
         fn combinators_compose((a, b) in (1usize..4, 1usize..4).prop_map(|(x, y)| (x * 10, y))) {
-            prop_assert!(a >= 10 && a < 40 && a % 10 == 0);
+            prop_assert!((10..40).contains(&a) && a % 10 == 0);
             prop_assert!(b < 4);
         }
 

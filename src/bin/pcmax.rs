@@ -199,6 +199,15 @@ fn flag_parse<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> 
     }
 }
 
+/// The PTAS is defined for ε in (0, 1]; anything else is a usage error.
+fn check_epsilon(epsilon: f64) -> Result<f64, String> {
+    if epsilon > 0.0 && epsilon <= 1.0 {
+        Ok(epsilon)
+    } else {
+        Err(format!("epsilon must be in (0, 1], got {epsilon}"))
+    }
+}
+
 fn load_instance(path: &str) -> Result<Instance, String> {
     pcmax::core::io::load_instance(path)
 }
@@ -270,7 +279,7 @@ fn parse_strategy(s: &str) -> Result<SearchStrategy, String> {
 fn cmd_solve(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or("solve needs an instance file")?;
     let inst = load_instance(path)?;
-    let epsilon: f64 = flag_parse(args, "--epsilon", 0.3)?;
+    let epsilon = check_epsilon(flag_parse(args, "--epsilon", 0.3)?)?;
     let engine = parse_engine(flag(args, "--engine").unwrap_or("par"))?;
     let strategy = parse_strategy(flag(args, "--strategy").unwrap_or("bisection"))?;
     let verbose = args.iter().any(|a| a == "--verbose");
@@ -331,10 +340,10 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     }
     let path = path.ok_or("trace needs an instance file")?;
     let inst = load_instance(path)?;
-    let epsilon: f64 = match flag(args, "--eps").or_else(|| flag(args, "--epsilon")) {
+    let epsilon = check_epsilon(match flag(args, "--eps").or_else(|| flag(args, "--epsilon")) {
         Some(v) => v.parse().map_err(|_| format!("bad epsilon `{v}`"))?,
         None => 0.3,
-    };
+    })?;
     let engine = parse_engine(flag(args, "--engine").unwrap_or("par"))?;
     let strategy = parse_strategy(flag(args, "--strategy").unwrap_or("bisection"))?;
     let as_json = args.iter().any(|a| a == "--json");
@@ -387,7 +396,7 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
 fn cmd_simulate(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or("simulate needs an instance file")?;
     let inst = load_instance(path)?;
-    let epsilon: f64 = flag_parse(args, "--epsilon", 0.3)?;
+    let epsilon = check_epsilon(flag_parse(args, "--epsilon", 0.3)?)?;
     let dim: usize = flag_parse(args, "--dim", 6)?;
     let cfg = GpuPtasConfig {
         epsilon,
@@ -421,7 +430,8 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
             .max_by_key(|&(_, &sz)| sz)
             .map(|(&t, _)| t)
             .ok_or("no probes to trace")?;
-        if let RoundingOutcome::Rounded(r) = Rounding::compute(&inst, biggest, 4) {
+        let k = Ptas::new(epsilon).k();
+        if let RoundingOutcome::Rounded(r) = Rounding::compute(&inst, biggest, k) {
             let problem = pcmax::DpProblem::from_rounding(&r);
             let analysis = TableAnalysis::analyze(&problem);
             let run = simulate_partitioned(
@@ -1522,11 +1532,10 @@ fn cmd_store_stats(args: &[String]) -> Result<(), String> {
                     // Paged tables cap resident bytes at the budget.
                     stats.budget_bytes
                 };
-                if stats.budget_bytes == 0 {
-                    0
-                } else {
-                    resident.saturating_mul(100) / stats.budget_bytes
-                }
+                resident
+                    .saturating_mul(100)
+                    .checked_div(stats.budget_bytes)
+                    .unwrap_or(0)
             },
         )
         .end_object()

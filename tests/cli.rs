@@ -110,6 +110,72 @@ fn simulate_writes_trace() {
     assert!(json.contains("traceEvents"));
 }
 
+/// The number after the first `σ = ` in `text`.
+fn sigma_after(text: &str) -> u64 {
+    let rest = &text[text.find("σ = ").unwrap_or_else(|| panic!("no σ in:\n{text}")) + "σ = ".len()..];
+    let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
+    digits.parse().expect("σ is a number")
+}
+
+#[test]
+fn simulate_traces_the_largest_table_at_the_requested_epsilon() {
+    let inst = temp_path("sim-eps.inst");
+    let trace = temp_path("sim-eps-trace.json");
+    assert!(pcmax()
+        .args(["gen", "--seed", "3", "--jobs", "30", "--machines", "6", "-o"])
+        .arg(&inst)
+        .status()
+        .expect("gen")
+        .success());
+    let out = pcmax()
+        .arg("simulate")
+        .arg(&inst)
+        .args(["--epsilon", "0.2", "--trace"])
+        .arg(&trace)
+        .output()
+        .expect("simulate");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let reported = sigma_after(&String::from_utf8_lossy(&out.stdout));
+    let traced = sigma_after(&String::from_utf8_lossy(&out.stderr));
+    assert_eq!(traced, reported, "the trace must be of the largest table probed");
+}
+
+/// Runs `cmd` to completion, failing the test if it is still running
+/// after `secs` seconds.
+fn output_within(cmd: &mut Command, secs: u64) -> std::process::Output {
+    use std::process::Stdio;
+    use std::time::{Duration, Instant};
+    let mut child = cmd
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn");
+    let deadline = Instant::now() + Duration::from_secs(secs);
+    while child.try_wait().expect("wait").is_none() {
+        if Instant::now() >= deadline {
+            child.kill().expect("kill");
+            panic!("{cmd:?} still running after {secs} s");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    child.wait_with_output().expect("output")
+}
+
+#[test]
+fn out_of_range_epsilon_is_rejected() {
+    let inst = temp_path("eps.inst");
+    std::fs::write(&inst, "2\n5 6 7\n").expect("write");
+    for (cmd, flag) in [("solve", "--epsilon"), ("trace", "--eps"), ("simulate", "--epsilon")] {
+        for eps in ["0", "2"] {
+            let out = output_within(pcmax().arg(cmd).arg(&inst).args([flag, eps]), 60);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(!out.status.success(), "`{cmd} {flag} {eps}` must fail");
+            assert!(!stderr.contains("panicked"), "`{cmd} {flag} {eps}`: {stderr}");
+            assert!(stderr.contains("epsilon must be in (0, 1]"), "{stderr}");
+        }
+    }
+}
+
 #[test]
 fn bad_inputs_fail_cleanly() {
     // Unknown command.

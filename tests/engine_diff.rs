@@ -35,7 +35,7 @@ fn items_of(p: &DpProblem) -> Vec<u64> {
     p.counts()
         .iter()
         .zip(p.sizes())
-        .flat_map(|(&n, &s)| std::iter::repeat(s).take(n))
+        .flat_map(|(&n, &s)| std::iter::repeat_n(s, n))
         .collect()
 }
 

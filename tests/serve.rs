@@ -36,7 +36,7 @@ fn concurrent_tcp_clients_get_valid_schedules() {
                     let makespan = reply.schedule.validate(&inst).expect("valid schedule");
                     assert_eq!(makespan, reply.makespan, "server-reported makespan");
                     assert!(!reply.degraded, "10s deadline must not degrade");
-                    assert_eq!(reply.target.is_some(), true, "PTAS answers carry T*");
+                    assert!(reply.target.is_some(), "PTAS answers carry T*");
                 }
             })
         })
