@@ -666,13 +666,11 @@ pub fn check_warm_rehydrate(inst: &Instance, ctx: &mut CheckCtx<'_>) {
 ///   warm tier reproduces the owner's records byte-for-byte, and a
 ///   replicated read answers with the exact solution bytes the owner
 ///   holds.
-/// * **Rebalance exactness** — the planner's `moved_set` over the
-///   tier's digest hashes equals a brute-force rendezvous ownership
-///   diff (`rank_ids` before vs after a join), key-for-key including
-///   the from/to attribution.
+/// * **Relay exactness** — for a seeded subset of the tier's digest
+///   hashes, the ranged pulls `pull_ranges` plans over the digest
+///   return exactly the subset's entries: none missing, none outside.
 pub fn check_warmsync(inst: &Instance, ctx: &mut CheckCtx<'_>) {
-    use pcmax_cluster::rank_ids;
-    use pcmax_warmsync::{moved_set, ShipEntry};
+    use pcmax_warmsync::{pull_ranges, ShipEntry};
 
     ctx.bump();
     let owner_dir = scratch_dir(ctx, "wsync-owner");
@@ -762,42 +760,32 @@ pub fn check_warmsync(inst: &Instance, ctx: &mut CheckCtx<'_>) {
         }
     }
 
-    // Rebalance exactness over this tier's real digest hashes: the
-    // planner vs a brute-force before/after primary enumeration.
+    // Relay exactness over this tier's real digest: pulling the
+    // planned ranges for a seeded subset of its hashes must return
+    // that subset's entries and nothing else.
     ctx.bump();
-    let mut hashes: Vec<u64> = owner.digest().iter().map(|&(h, _)| h).collect();
-    hashes.sort_unstable();
-    hashes.dedup();
-    let before = ["w0", "w1", "w2"];
-    let after = ["w0", "w1", "w2", "w3"];
-    let planned = moved_set(
-        &hashes,
-        |hash| rank_ids(&before, hash).first().map(|s| s.to_string()),
-        |hash| rank_ids(&after, hash).first().map(|s| s.to_string()),
-    );
-    let mut expect = Vec::new();
-    for &hash in &hashes {
-        let was = rank_ids(&before, hash).first().map(|s| s.to_string());
-        let now = rank_ids(&after, hash).first().map(|s| s.to_string());
-        if let Some(to) = now {
-            if was.as_deref() != Some(to.as_str()) {
-                expect.push((hash, was, to));
-            }
-        }
-    }
-    if planned.len() != expect.len()
-        || planned
-            .iter()
-            .zip(&expect)
-            .any(|(key, (hash, from, to))| {
-                key.hash != *hash || key.from != *from || key.to != *to
-            })
-    {
+    let digest: Vec<u64> = owner.digest().iter().map(|&(h, _)| h).collect();
+    let wanted: Vec<u64> = digest
+        .iter()
+        .copied()
+        .filter(|&h| (h ^ ctx.seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 63 == 1)
+        .collect();
+    let mut pulled: Vec<ShipEntry> = pull_ranges(&wanted, &digest)
+        .into_iter()
+        .flat_map(|(lo, hi)| owner.entries_since(0, lo, hi))
+        .collect();
+    pulled.sort_by_key(|e| e.seq);
+    let expect: Vec<&ShipEntry> = entries
+        .iter()
+        .filter(|e| wanted.contains(&e.key_hash()))
+        .collect();
+    if pulled.iter().ne(expect.iter().copied()) {
         ctx.diverge(
-            "warmsync-moved-set",
+            "warmsync-relay",
             format!(
-                "planner moved {} keys, ownership diff says {}",
-                planned.len(),
+                "ranged pulls for {} wanted keys returned {} entries, expected {}",
+                wanted.len(),
+                pulled.len(),
                 expect.len()
             ),
         );

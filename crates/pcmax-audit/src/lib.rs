@@ -21,8 +21,8 @@
 //!   must answer entirely from disk with an identical schedule,
 //! * warm-state shipping: every shippable record survives the wire
 //!   token round-trip checksum-verified, a replica applying the shipped
-//!   entries holds byte-identical values, and the rebalance planner's
-//!   moved set is exactly the brute-force rendezvous ownership diff,
+//!   entries holds byte-identical values, and the ranged pulls planned
+//!   for a subset of the owner's keys return exactly that subset,
 //! * heuristics and the PTAS vs `brute_force_makespan` /
 //!   `subset_dp_makespan` on small instances,
 //! * the solver portfolio's gauntlet: every arm (pinned and auto, the
@@ -73,7 +73,7 @@ pub struct AuditConfig {
     /// overlapped-sweep differential ([`checks::check_paged_store`] and
     /// [`checks::check_paged_overlap`]); `Some("warmsync")` runs only
     /// [`checks::check_warmsync`] (ship-frame integrity, replica
-    /// fidelity, rebalance exactness). Unrecognised names run nothing
+    /// fidelity, relay exactness). Unrecognised names run nothing
     /// and are rejected by the CLI before reaching here.
     pub engine_filter: Option<String>,
 }

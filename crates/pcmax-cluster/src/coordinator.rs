@@ -60,12 +60,11 @@ pub struct ClusterConfig {
     /// to workers with cache headroom first.
     pub pressure_threshold_pct: u64,
     /// Whether the warmsync engine runs: heartbeat-driven warm-log
-    /// replication and membership-change rebalance.
-    /// See [`Coordinator::sync_warm`].
+    /// replication. See [`Coordinator::sync_warm`].
     pub warmsync: bool,
     /// Replication factor R: every warm entry is kept by its rendezvous
-    /// primary plus the next `R − 1` successors for its key. `1` means
-    /// no replication (rebalance still relays on membership changes).
+    /// primary plus the next `R − 1` successors for its key. `1` =
+    /// primary only.
     pub replication_factor: u32,
 }
 
@@ -140,8 +139,8 @@ pub struct Coordinator {
     heartbeat: Mutex<Option<JoinHandle<()>>>,
     /// Serialises warmsync rounds (heartbeat vs direct callers).
     pub(crate) sync_lock: Mutex<()>,
-    /// Sorted live ids seen by the previous sync round — the "before"
-    /// side of the membership diff that triggers a rebalance.
+    /// Sorted live ids seen by the previous sync round, so a round can
+    /// count a live-set change in `rebalance_events`.
     pub(crate) last_membership: Mutex<Vec<String>>,
 }
 
@@ -523,9 +522,9 @@ impl Coordinator {
                     }
                 }
             }
-            // Warm replication rides the heartbeat cadence: ship new
-            // suffixes, and rebalance if this beat's health sweep
-            // changed the live set (join, crash, revival).
+            // Warm replication rides the heartbeat cadence: the sync
+            // round sees the `warm_seq` this beat just reported and any
+            // live-set change (join, crash, revival) it caused.
             if self.config.warmsync {
                 let _ = self.sync_warm();
             }
@@ -577,7 +576,6 @@ impl Coordinator {
             warm_bytes_pulled: self.stats.warm_bytes_pulled.get(),
             warm_push_rejected: self.stats.warm_push_rejected.get(),
             rebalance_events: self.stats.rebalance_events.get(),
-            rebalance_keys_moved: self.stats.rebalance_keys_moved.get(),
             latency_us: self.stats.latency_us.snapshot(),
             ship_us: self.stats.ship_us.snapshot(),
             pull_us: self.stats.pull_us.snapshot(),

@@ -21,12 +21,10 @@
 //!   schedule; transport problems are absorbed, not surfaced.
 //!
 //! * **Warm-state replication** — the warmsync engine ([`sync`]) rides
-//!   the heartbeat: each worker's warm-log suffix is shipped to its
-//!   `R − 1` rendezvous successors, and membership changes trigger a
-//!   planned rebalance (the exact rendezvous ownership diff, pulled from
-//!   a live holder and pushed to the new owner). A joining worker
-//!   therefore answers its first request for a previously-warm key from
-//!   shipped state — no cold DP solve.
+//!   the heartbeat: each round keeps every known warm key held by its
+//!   top-`R` live rendezvous owners, relaying missing copies from a
+//!   live holder. A joining worker therefore answers its first request
+//!   for a previously-warm key from shipped state — no cold DP solve.
 //!
 //! [`serve_cluster_tcp`] exposes the coordinator over the same line
 //! protocol — and the same listener, `pcmax_serve::serve_lines` — the

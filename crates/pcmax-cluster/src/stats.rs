@@ -49,10 +49,8 @@ pub struct ClusterStats {
     pub warm_bytes_pulled: Counter,
     /// Entries a receiving worker rejected on push (checksum/decode).
     pub warm_push_rejected: Counter,
-    /// Membership changes that triggered a rebalance pass.
+    /// Warmsync rounds that saw the live set change.
     pub rebalance_events: Counter,
-    /// Warm keys relayed to their new rendezvous owner by rebalances.
-    pub rebalance_keys_moved: Counter,
     /// End-to-end coordinator-side request latency, in µs.
     pub latency_us: Histogram,
     /// Latency of one warm-push batch to one worker, in µs.
@@ -79,9 +77,6 @@ pub struct WorkerReport {
     pub warm_entries: u64,
     /// Warm-log high-water seq it last reported over `health`.
     pub warm_seq: u64,
-    /// Replication watermark: its warm seq up to which the coordinator
-    /// has shipped entries to replicas.
-    pub synced_seq: u64,
     /// Solve attempts routed at it (including retries).
     pub attempts: u64,
     /// Requests it answered ok.
@@ -109,7 +104,6 @@ impl WorkerReport {
             pressure_pct: state.pressure_pct,
             warm_entries: state.warm_entries,
             warm_seq: state.warm_seq,
-            synced_seq: worker.synced_seq(),
             attempts: c.attempts.get(),
             ok: c.ok.get(),
             server_errors: c.server_errors.get(),
@@ -128,7 +122,6 @@ impl WorkerReport {
             .field_u64("pressure_pct", self.pressure_pct)
             .field_u64("warm_entries", self.warm_entries)
             .field_u64("warm_seq", self.warm_seq)
-            .field_u64("synced_seq", self.synced_seq)
             .field_u64("attempts", self.attempts)
             .field_u64("ok", self.ok)
             .field_u64("server_errors", self.server_errors)
@@ -185,10 +178,8 @@ pub struct ClusterReport {
     pub warm_bytes_pulled: u64,
     /// Entries rejected by receiving workers on push.
     pub warm_push_rejected: u64,
-    /// Membership changes that triggered a rebalance pass.
+    /// Warmsync rounds that saw the live set change.
     pub rebalance_events: u64,
-    /// Warm keys relayed to new rendezvous owners by rebalances.
-    pub rebalance_keys_moved: u64,
     /// End-to-end latency histogram.
     pub latency_us: HistogramSnapshot,
     /// Warm-push batch latency histogram, in µs.
@@ -233,7 +224,6 @@ impl ClusterReport {
             .field_u64("bytes_pulled", self.warm_bytes_pulled)
             .field_u64("push_rejected", self.warm_push_rejected)
             .field_u64("rebalance_events", self.rebalance_events)
-            .field_u64("rebalance_keys_moved", self.rebalance_keys_moved)
             .key("ship_us");
         self.ship_us.write_json(&mut w);
         w.key("pull_us");
@@ -284,7 +274,6 @@ mod tests {
             warm_bytes_pulled: 4200,
             warm_push_rejected: 1,
             rebalance_events: 2,
-            rebalance_keys_moved: 9,
             latency_us: stats.latency_us.snapshot(),
             ship_us: stats.ship_us.snapshot(),
             pull_us: stats.pull_us.snapshot(),
@@ -298,7 +287,6 @@ mod tests {
         assert!(json.contains("\"marked_down\":1"), "{json}");
         assert!(json.contains("\"warmsync\":{\"entries_shipped\":12"), "{json}");
         assert!(json.contains("\"rebalance_events\":2"), "{json}");
-        assert!(json.contains("\"rebalance_keys_moved\":9"), "{json}");
         assert!(json.contains("\"ship_us\""), "{json}");
         assert!(json.contains("\"pull_us\""), "{json}");
         assert!(json.contains("\"id\":\"w0\""), "{json}");

@@ -1,47 +1,40 @@
-//! The warmsync engine: coordinator-mediated warm-state replication and
-//! membership-change rebalance.
+//! The warmsync engine: coordinator-mediated warm-state replication.
 //!
 //! Workers are pure servers — they never dial each other. The
-//! coordinator relays instead: it `warm-pull`s the unshipped suffix
-//! from a donor and `warm-push`es the entries to their targets, so the
-//! whole replication topology lives in one place and a worker needs no
-//! peer discovery.
+//! coordinator relays instead: it `warm-pull`s entries from a donor and
+//! `warm-push`es them to their targets, so the whole replication
+//! topology lives in one place and a worker needs no peer discovery.
 //!
 //! One [`Coordinator::sync_warm`] round (heartbeat-driven, also
-//! callable directly by tests and `pcmax bench-cluster --churn`):
+//! callable directly by tests and `pcmax bench-cluster --churn`) is two
+//! steps:
 //!
-//! 1. **Membership diff → rebalance.** The live id set is compared
-//!    against the set of the previous round. On any change (join,
-//!    leave, mark-down, revival) the planner computes
-//!    [`pcmax_warmsync::moved_set`] over every known warm key hash —
-//!    exactly the keys whose rendezvous primary changed — and relays
-//!    each moved key from a live holder (previous owner or any replica)
-//!    to its new owner, coalescing per-donor pulls into the minimal
-//!    [`pcmax_warmsync::pull_ranges`]. A joining worker therefore
-//!    serves its first request for a migrated warm key from shipped
-//!    state, not a cold DP solve.
-//! 2. **Digest refresh.** For each live worker whose heartbeat-reported
+//! 1. **Digest refresh.** For each live worker whose heartbeat-reported
 //!    `warm_seq` differs from the cached digest's, a fresh
 //!    `warm-digest` is fetched; unchanged workers cost nothing. The
-//!    digests feed the holder map that deduplicates pushes (an entry is
-//!    never re-shipped to a worker already holding its key).
-//! 3. **Suffix shipping (replication factor R).** For each live worker
-//!    whose `warm_seq` is past its replication watermark, the
-//!    coordinator pulls `seq > watermark` and pushes every entry to the
-//!    first `R − 1` rendezvous successors for its key hash that do not
-//!    already hold it. Receivers append under their own local seq and
-//!    charge their replica byte budget (oldest-first eviction), so a
-//!    replica's disk share is bounded.
-//! 4. **Replication repair.** Every known key must be held by its
-//!    top-`R` live owners; missing copies are relayed from a holder.
-//!    Free once converged, this is what tops a joiner or a revived
-//!    worker back up to every key it is now a successor for.
+//!    digests give the holder map: which live workers hold each known
+//!    key hash.
+//! 2. **Replication repair.** Every known key hash must be held by its
+//!    top-`R` live rendezvous owners (rank 0 is its primary). Each
+//!    missing copy is relayed from a live holder: the missing hashes
+//!    are grouped per (donor, target), coalesced into the minimal
+//!    [`pcmax_warmsync::pull_ranges`] over the donor's digest, pulled,
+//!    and exactly the bucket's entries are pushed. Receivers append
+//!    under their own local seq and charge their replica byte budget
+//!    (oldest-first eviction), so a replica's disk share is bounded.
+//!
+//! A freshly solved entry bumps its worker's `warm_seq`, so the next
+//! round's refresh lists it and the repair copies it to its other
+//! owners. A membership change (join, leave, mark-down, revival)
+//! changes the owner lists, so the same repair moves keys to a new
+//! primary and tops a joiner or a revived worker up to every key it
+//! now owns. Once converged a round ships nothing.
 
 use crate::coordinator::Coordinator;
 use crate::ring::rank_ids;
 use crate::worker::WorkerNode;
 use pcmax_serve::{Client, ClientError};
-use pcmax_warmsync::{counters as wsc, moved_set, pull_ranges, ShipEntry};
+use pcmax_warmsync::{pull_ranges, ShipEntry};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
@@ -54,9 +47,7 @@ pub struct SyncOutcome {
     pub shipped: u64,
     /// Entries pulled from donors this round.
     pub pulled: u64,
-    /// Keys relayed to a new rendezvous owner by the rebalance pass.
-    pub moved_keys: u64,
-    /// Whether a membership change triggered a rebalance pass.
+    /// Whether the live set changed since the previous round.
     pub rebalanced: bool,
 }
 
@@ -78,29 +69,19 @@ impl Coordinator {
         let mut live_ids: Vec<String> = live.iter().map(|w| w.id.clone()).collect();
         live_ids.sort_unstable();
 
-        self.refresh_digests(&live);
-        let mut holders = self.holder_map(&live);
-
-        // Membership diff first: a joining worker should get its moved
-        // keys before new-suffix replication spends budget on it.
-        let (changed, old_ids) = {
+        {
             let mut last = self.last_membership.lock().expect("membership poisoned");
-            let old = last.clone();
-            let changed = *last != live_ids;
-            if changed {
+            if *last != live_ids {
+                if !last.is_empty() {
+                    outcome.rebalanced = true;
+                    self.stats.rebalance_events.inc();
+                }
                 last.clone_from(&live_ids);
             }
-            (changed, old)
-        };
-        if changed && !old_ids.is_empty() {
-            outcome.rebalanced = true;
-            self.stats.rebalance_events.inc();
-            wsc::add(wsc::REBALANCE_EVENTS, 1);
-            self.rebalance(&live, &live_ids, &old_ids, &mut holders, &mut outcome);
         }
 
-        self.ship_suffixes(&live, &live_ids, &mut holders, &mut outcome);
-        self.repair_replication(&live, &live_ids, &mut holders, &mut outcome);
+        self.refresh_digests(&live);
+        self.repair_replication(&live, &live_ids, &mut outcome);
         outcome
     }
 
@@ -154,101 +135,51 @@ impl Coordinator {
         holders
     }
 
-    /// The rebalance pass: relays every warm key whose rendezvous
-    /// primary changed (old membership → current) from a live holder to
-    /// its new owner. Donor pulls are coalesced into the minimal hash
-    /// ranges containing no unmoved donor key.
-    fn rebalance(
-        &self,
-        live: &[Arc<WorkerNode>],
-        live_ids: &[String],
-        old_ids: &[String],
-        holders: &mut Holders,
-        outcome: &mut SyncOutcome,
-    ) {
-        let mut hashes: Vec<u64> = holders.keys().copied().collect();
-        hashes.sort_unstable();
-        let moved = moved_set(&hashes, owner_fn(old_ids), owner_fn(live_ids));
-
-        // Bucket moved keys by (donor, target): the target is the new
-        // primary, the donor any live holder (prefer the old owner so
-        // the pull hits the freshest copy).
-        let mut buckets: HashMap<(String, String), Vec<u64>> = HashMap::new();
-        for key in &moved {
-            let Some(holder_set) = holders.get(&key.hash) else { continue };
-            if holder_set.contains(&key.to) {
-                continue; // already replicated there — nothing to move
-            }
-            let donor = match &key.from {
-                Some(from) if holder_set.contains(from) => from.clone(),
-                _ => match holder_set.iter().min() {
-                    Some(any) => any.clone(),
-                    None => continue,
-                },
-            };
-            buckets
-                .entry((donor, key.to.clone()))
-                .or_default()
-                .push(key.hash);
-        }
-
-        let moved_now = self.relay_buckets(live, buckets, holders, outcome);
-        outcome.moved_keys += moved_now;
-        self.stats.rebalance_keys_moved.add(moved_now);
-    }
-
     /// Restores the replication invariant — every known warm key is
     /// held by its top-`R` live rendezvous owners — by relaying each
     /// missing copy from a live holder. Idempotent and free once
-    /// converged (complete holder sets build no buckets); after churn
-    /// it is what tops a joiner (or a revived worker) back up to every
-    /// key it is now a successor for.
+    /// converged (complete holder sets build no buckets).
     fn repair_replication(
         &self,
         live: &[Arc<WorkerNode>],
         live_ids: &[String],
-        holders: &mut Holders,
         outcome: &mut SyncOutcome,
     ) {
-        let replicas = (self.config().replication_factor.max(1) as usize).min(live.len());
         if live.len() < 2 {
             return;
         }
+        let replicas = self.config().replication_factor.max(1) as usize;
         let id_refs: Vec<&str> = live_ids.iter().map(String::as_str).collect();
-        let mut hashes: Vec<u64> = holders.keys().copied().collect();
-        hashes.sort_unstable();
+        let holders = self.holder_map(live);
         let mut buckets: HashMap<(String, String), Vec<u64>> = HashMap::new();
-        for hash in hashes {
-            let Some(held) = holders.get(&hash) else { continue };
-            let Some(donor) = held.iter().min().cloned() else { continue };
+        for (&hash, held) in &holders {
+            let Some(donor) = held.iter().min() else { continue };
             for target in rank_ids(&id_refs, hash).into_iter().take(replicas) {
-                if held.contains(target) {
-                    continue;
+                if !held.contains(target) {
+                    buckets
+                        .entry((donor.clone(), target.to_string()))
+                        .or_default()
+                        .push(hash);
                 }
-                buckets
-                    .entry((donor.clone(), target.to_string()))
-                    .or_default()
-                    .push(hash);
             }
         }
-        self.relay_buckets(live, buckets, holders, outcome);
+        self.relay_buckets(live, buckets, outcome);
     }
 
     /// Executes `(donor, target) → key hashes` relay buckets: each
     /// bucket's hashes are coalesced into the minimal pull ranges over
-    /// the donor's digest, pulled, and pushed to the target. Returns
-    /// the number of entries accepted by targets.
+    /// the donor's digest, pulled, and exactly the bucket's entries are
+    /// pushed to the target. A donor that received pushes earlier in
+    /// the round may hold more keys inside a range than its cached
+    /// digest lists; those are dropped, not re-shipped.
     fn relay_buckets(
         &self,
         live: &[Arc<WorkerNode>],
         buckets: HashMap<(String, String), Vec<u64>>,
-        holders: &mut Holders,
         outcome: &mut SyncOutcome,
-    ) -> u64 {
-        let mut total_pushed = 0u64;
+    ) {
         for ((donor_id, target_id), mut bucket) in buckets {
             bucket.sort_unstable();
-            bucket.dedup();
             let (Some(donor), Some(target)) = (
                 live.iter().find(|w| w.id == donor_id),
                 live.iter().find(|w| w.id == target_id),
@@ -263,99 +194,26 @@ impl Coordinator {
                 .map(|(_, entries)| entries.iter().map(|&(h, _)| h).collect())
                 .unwrap_or_default();
             for (lo, hi) in pull_ranges(&bucket, &donor_keys) {
-                let Some(entries) = self.pull_from(donor, 0, lo, hi) else { continue };
+                let Some(mut entries) = self.pull_from(donor, lo, hi) else { continue };
                 outcome.pulled += entries.len() as u64;
-                let pushed = self.push_to(target, &entries);
-                outcome.shipped += pushed;
-                total_pushed += pushed;
-                for entry in &entries {
-                    holders
-                        .entry(entry.key_hash())
-                        .or_default()
-                        .insert(target_id.clone());
-                }
+                entries.retain(|e| bucket.binary_search(&e.key_hash()).is_ok());
+                outcome.shipped += self.push_to(target, &entries);
             }
-        }
-        total_pushed
-    }
-
-    /// Ships each live worker's unshipped warm suffix to the first
-    /// `R − 1` rendezvous successors (per entry key) that do not already
-    /// hold it.
-    fn ship_suffixes(
-        &self,
-        live: &[Arc<WorkerNode>],
-        live_ids: &[String],
-        holders: &mut Holders,
-        outcome: &mut SyncOutcome,
-    ) {
-        let replicas = self.config().replication_factor.max(1) as usize;
-        if replicas < 2 || live.len() < 2 {
-            return;
-        }
-        let id_refs: Vec<&str> = live_ids.iter().map(String::as_str).collect();
-        for donor in live {
-            let seq = donor.warm_seq();
-            let watermark = donor.synced_seq();
-            if seq <= watermark {
-                continue;
-            }
-            let Some(entries) = self.pull_from(donor, watermark, 0, u64::MAX) else {
-                continue;
-            };
-            outcome.pulled += entries.len() as u64;
-            let top_seq = entries.iter().map(|e| e.seq).max().unwrap_or(seq);
-
-            // Group entries per target so each target gets one push.
-            let mut batches: HashMap<String, Vec<ShipEntry>> = HashMap::new();
-            for entry in entries {
-                let hash = entry.key_hash();
-                let held = holders.entry(hash).or_default();
-                held.insert(donor.id.clone());
-                for target in rank_ids(&id_refs, hash).into_iter().take(replicas) {
-                    if target == donor.id || held.contains(target) {
-                        continue;
-                    }
-                    held.insert(target.to_string());
-                    batches.entry(target.to_string()).or_default().push(entry.clone());
-                }
-            }
-            for (target_id, batch) in batches {
-                if let Some(target) = live.iter().find(|w| w.id == target_id) {
-                    outcome.shipped += self.push_to(target, &batch);
-                }
-            }
-            donor.set_synced_seq(top_seq.max(seq));
         }
     }
 
     /// One `warm-pull` round-trip against `worker` on a fresh
-    /// connection. `None` on transport failure (books a miss).
-    fn pull_from(
-        &self,
-        worker: &Arc<WorkerNode>,
-        since_seq: u64,
-        lo: u64,
-        hi: u64,
-    ) -> Option<Vec<ShipEntry>> {
+    /// connection, for every entry in `lo..=hi` (`since = 0`). `None`
+    /// on transport failure (books a miss).
+    fn pull_from(&self, worker: &Arc<WorkerNode>, lo: u64, hi: u64) -> Option<Vec<ShipEntry>> {
         let mut client = self.warm_client(worker).ok()?;
         let started = Instant::now();
-        match client.warm_pull(since_seq, lo, hi) {
+        match client.warm_pull(0, lo, hi) {
             Ok(entries) => {
-                let bytes: u64 = entries
-                    .iter()
-                    .map(|e| (e.key.len() + e.value.len()) as u64)
-                    .sum();
                 self.stats.warm_entries_pulled.add(entries.len() as u64);
-                self.stats.warm_bytes_pulled.add(bytes);
-                wsc::add(wsc::ENTRIES_PULLED, entries.len() as u64);
-                wsc::add(wsc::BYTES_PULLED, bytes);
+                self.stats.warm_bytes_pulled.add(payload_bytes(&entries));
                 if pcmax_obs::enabled() {
-                    let us = started.elapsed().as_micros() as u64;
-                    self.stats.pull_us.record(us);
-                    pcmax_obs::registry::global()
-                        .histogram(wsc::PULL_US)
-                        .record(us);
+                    self.stats.pull_us.record(started.elapsed().as_micros() as u64);
                 }
                 Some(entries)
             }
@@ -380,24 +238,11 @@ impl Coordinator {
         let started = Instant::now();
         match client.warm_push(entries) {
             Ok((accepted, rejected)) => {
-                let bytes: u64 = entries
-                    .iter()
-                    .map(|e| (e.key.len() + e.value.len()) as u64)
-                    .sum();
                 self.stats.warm_entries_shipped.add(accepted);
-                self.stats.warm_bytes_shipped.add(bytes);
+                self.stats.warm_bytes_shipped.add(payload_bytes(entries));
                 self.stats.warm_push_rejected.add(rejected);
-                wsc::add(wsc::ENTRIES_SHIPPED, accepted);
-                wsc::add(wsc::BYTES_SHIPPED, bytes);
-                if rejected > 0 {
-                    wsc::add(wsc::ENTRIES_REJECTED, rejected);
-                }
                 if pcmax_obs::enabled() {
-                    let us = started.elapsed().as_micros() as u64;
-                    self.stats.ship_us.record(us);
-                    pcmax_obs::registry::global()
-                        .histogram(wsc::SHIP_US)
-                        .record(us);
+                    self.stats.ship_us.record(started.elapsed().as_micros() as u64);
                 }
                 accepted
             }
@@ -417,11 +262,63 @@ impl Coordinator {
     }
 }
 
-/// A rendezvous primary-owner closure over `ids`, the shape
-/// [`moved_set`] expects.
-fn owner_fn(ids: &[String]) -> impl Fn(u64) -> Option<String> + '_ {
-    move |hash| {
-        let refs: Vec<&str> = ids.iter().map(String::as_str).collect();
-        rank_ids(&refs, hash).first().map(|s| s.to_string())
+/// Key + value bytes of `entries`, before hex encoding.
+fn payload_bytes(entries: &[ShipEntry]) -> u64 {
+    entries.iter().map(|e| (e.key.len() + e.value.len()) as u64).sum()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::coordinator::ClusterConfig;
+    use pcmax_serve::proto::format_warm_entries;
+    use pcmax_serve::serve_lines;
+    use std::sync::Mutex;
+
+    fn entry(seq: u64, key: &[u8]) -> ShipEntry {
+        ShipEntry {
+            seq,
+            key: key.to_vec(),
+            value: b"solution".to_vec(),
+        }
+    }
+
+    #[test]
+    fn relay_pushes_exactly_the_bucket() {
+        // The donor's digest was cached before it received `outside`
+        // (say, pushed earlier in the round), so its pull reply carries
+        // a key the bucket never asked for.
+        let inside = entry(1, b"inside");
+        let outside = entry(2, b"outside");
+        let pull_reply = format_warm_entries("warm-pull", &[inside.clone(), outside]);
+        let donor = serve_lines("127.0.0.1:0", None, move |_| pull_reply.clone()).unwrap();
+        let pushes = Arc::new(Mutex::new(Vec::new()));
+        let seen = Arc::clone(&pushes);
+        let target = serve_lines("127.0.0.1:0", None, move |line| {
+            seen.lock().unwrap().push(line.to_string());
+            "warm-push 1 0".to_string()
+        })
+        .unwrap();
+
+        let coordinator = Coordinator::new(ClusterConfig::default());
+        coordinator.add_worker("donor", donor.local_addr());
+        coordinator.add_worker("target", target.local_addr());
+        let live = coordinator.live_nodes();
+        *live[0].digest_cache.lock().unwrap() = Some((1, vec![(inside.key_hash(), 1)]));
+        let buckets = HashMap::from([(
+            ("donor".to_string(), "target".to_string()),
+            vec![inside.key_hash()],
+        )]);
+        let mut outcome = SyncOutcome::default();
+        coordinator.relay_buckets(&live, buckets, &mut outcome);
+
+        assert_eq!(outcome.pulled, 2);
+        assert_eq!(outcome.shipped, 1);
+        assert_eq!(
+            *pushes.lock().unwrap(),
+            [format_warm_entries("warm-push", &[inside])]
+        );
+        donor.shutdown();
+        target.shutdown();
     }
 }

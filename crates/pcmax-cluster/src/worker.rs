@@ -28,10 +28,8 @@ pub struct WorkerState {
     /// Live warm-log entry count from the last heartbeat.
     pub warm_entries: u64,
     /// Warm-log high-water sequence number from the last heartbeat.
-    /// The warmsync engine compares it against [`WorkerNode`]'s
-    /// replication watermark to decide whether a pull is due, and
-    /// against the cached digest's seq to skip digest round-trips for
-    /// unchanged workers.
+    /// The warmsync engine compares it against the cached digest's seq
+    /// to skip digest round-trips for unchanged workers.
     pub warm_seq: u64,
 }
 
@@ -69,10 +67,6 @@ pub struct WorkerNode {
     /// the same worker serialise on this mutex. `None` until first use
     /// and after any transport failure.
     pub conn: Mutex<Option<Client>>,
-    /// Replication watermark: the worker's warm-log seq up to which the
-    /// coordinator has already pulled and shipped entries to replicas.
-    /// Entries with `seq > synced_seq` are the unshipped suffix.
-    pub synced_seq: Mutex<u64>,
     /// Cached `warm-digest` reply as `(warm_seq_at_fetch, (hash, seq))`.
     /// Valid while the worker's heartbeat-reported `warm_seq` matches
     /// the cached one, so unchanged workers cost no digest round-trip.
@@ -97,7 +91,6 @@ impl WorkerNode {
                 warm_seq: 0,
             }),
             conn: Mutex::new(None),
-            synced_seq: Mutex::new(0),
             digest_cache: Mutex::new(None),
             counters: WorkerCounters::default(),
         }
@@ -135,17 +128,6 @@ impl WorkerNode {
     /// Warm-log high-water seq from the last heartbeat.
     pub fn warm_seq(&self) -> u64 {
         self.state.lock().expect("worker state poisoned").warm_seq
-    }
-
-    /// The replication watermark (last seq pulled for shipping).
-    pub fn synced_seq(&self) -> u64 {
-        *self.synced_seq.lock().expect("synced_seq poisoned")
-    }
-
-    /// Advances the replication watermark (monotonic).
-    pub fn set_synced_seq(&self, seq: u64) {
-        let mut guard = self.synced_seq.lock().expect("synced_seq poisoned");
-        *guard = (*guard).max(seq);
     }
 
     /// Drops the pooled connection (after a transport failure).

@@ -24,7 +24,7 @@ use pcmax_core::{Guarantee, Instance, Schedule};
 use pcmax_improve::{ImproveConfig, ImproveMode};
 use pcmax_ptas::DpEngine;
 use pcmax_store::StoreBudget;
-use pcmax_warmsync::{counters as wsc, ReplicaBudget, ShipEntry, WarmDigest};
+use pcmax_warmsync::{ReplicaBudget, ShipEntry, WarmDigest};
 use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
@@ -562,17 +562,12 @@ impl Service {
         let mut accepted = 0u64;
         let mut rejected = 0u64;
         for token in tokens {
-            let entry = match ShipEntry::from_token(token) {
-                Ok(entry) => entry,
-                Err(_) => {
-                    rejected += 1;
-                    wsc::add(wsc::ENTRIES_REJECTED, 1);
-                    continue;
-                }
+            let Ok(entry) = ShipEntry::from_token(token) else {
+                rejected += 1;
+                continue;
             };
             if !warm.apply(&entry) {
                 rejected += 1;
-                wsc::add(wsc::ENTRIES_REJECTED, 1);
                 continue;
             }
             accepted += 1;
@@ -585,7 +580,6 @@ impl Service {
             for key in evicted {
                 warm.evict_raw(&key);
                 self.replica_evictions.fetch_add(1, Ordering::Relaxed);
-                wsc::add(wsc::REPLICA_EVICTIONS, 1);
             }
         }
         (accepted, rejected)

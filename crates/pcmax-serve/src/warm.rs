@@ -17,7 +17,7 @@ use crate::solver::CachedDp;
 use pcmax_obs::{Histogram, HistogramSnapshot};
 use pcmax_ptas::DpKey;
 use pcmax_store::{StoreError, WarmEntry, WarmLog};
-use pcmax_warmsync::{counters, ShipEntry};
+use pcmax_warmsync::ShipEntry;
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -103,7 +103,6 @@ impl WarmTier {
             // This fault would have been a cold DP recompute if the
             // entry hadn't been replicated/migrated to us.
             self.cold_misses_avoided.fetch_add(1, Ordering::Relaxed);
-            counters::add(counters::COLD_MISSES_AVOIDED, 1);
         }
         Some(entry)
     }

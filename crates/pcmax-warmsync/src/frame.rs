@@ -18,8 +18,8 @@ use crate::fnv1a;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShipEntry {
     /// Sequence number the record held in the *source* worker's log.
-    /// The receiver assigns its own local seq on apply; this one exists
-    /// so a puller can advance its per-donor watermark.
+    /// The receiver assigns its own local seq on apply, so this one is
+    /// informational only.
     pub seq: u64,
     /// Opaque key bytes (a serialized canonical DP key).
     pub key: Vec<u8>,

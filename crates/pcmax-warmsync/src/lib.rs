@@ -12,20 +12,16 @@
 //!   over `key‖value`, re-verified on receipt, so a shipped entry is
 //!   byte-identical to the source record or rejected;
 //! * [`WarmDigest`] — a worker's `(key hash, seq)` inventory plus its
-//!   max sequence number, the `warm-digest` reply. A peer that has
-//!   synced up to seq `s` pulls only the suffix above `s`;
-//! * [`plan`] — the rebalance planner: given before/after ownership
-//!   functions (rendezvous ranking lives in `pcmax-cluster`; the
-//!   planner is deliberately agnostic), compute the exact moved key
-//!   set, and coalesce moved hashes into the fewest `warm-pull` hash
-//!   ranges that contain no unmoved donor key;
+//!   max sequence number, the `warm-digest` reply. The max seq tells a
+//!   coordinator whether a cached digest is still current;
+//! * [`pull_ranges`] — the relay planner: coalesce the key hashes a
+//!   target is missing into the fewest `warm-pull` hash ranges that
+//!   contain no other donor key (rendezvous ranking, which decides what
+//!   a target is missing, lives in `pcmax-cluster`);
 //! * [`ReplicaBudget`] — oldest-first byte accounting for entries a
 //!   worker holds on behalf of the ring (replication factor R − 1
 //!   successor copies), so replication can never grow a worker's disk
-//!   unboundedly;
-//! * [`counters`] — the canonical `warmsync.*` observability names,
-//!   bumped on the global [`pcmax_obs`] registry by whoever does the
-//!   shipping.
+//!   unboundedly.
 //!
 //! The crate has no I/O and no dependency on the store, serve, or
 //! cluster crates — it is pure protocol + planning, testable in
@@ -34,13 +30,12 @@
 //! [`WarmLog`]: https://docs.rs/pcmax-store
 
 pub mod budget;
-pub mod counters;
 pub mod frame;
 pub mod plan;
 
 pub use budget::ReplicaBudget;
 pub use frame::{parse_digest_entry, ShipEntry, WarmDigest};
-pub use plan::{moved_set, pull_ranges, MovedKey};
+pub use plan::pull_ranges;
 
 /// FNV-1a 64-bit — the workspace's standalone checksum, duplicated here
 /// (same constants as `pcmax_store::page::fnv1a`) so this crate stays

@@ -1,142 +1,49 @@
-//! Rebalance planning: which keys move when membership changes, and
-//! how to fetch exactly those keys with ranged `warm-pull`s.
+//! Relay planning: how to fetch exactly a set of wanted keys from a
+//! donor with ranged `warm-pull`s.
 //!
-//! Ownership itself is rendezvous ranking, which lives in
-//! `pcmax-cluster`'s ring module; the planner takes before/after owner
-//! functions so the two crates stay decoupled and the planner can be
-//! property-tested against brute force without a cluster.
+//! Which keys a worker wants is rendezvous ranking, which lives in
+//! `pcmax-cluster`'s ring module; the planner takes plain key hashes so
+//! the two crates stay decoupled and the planner can be tested without
+//! a cluster.
 
 use std::collections::BTreeSet;
 
-/// One key the rebalance differ decided must move.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MovedKey {
-    /// The key's routing hash (`fnv1a` of the key bytes).
-    pub hash: u64,
-    /// Owner under the old membership (`None` if the key was unowned,
-    /// e.g. its only holder is the worker being removed).
-    pub from: Option<String>,
-    /// Owner under the new membership.
-    pub to: String,
-}
-
-/// Diffs ownership for `hashes` between two membership snapshots.
-///
-/// `old_owner` / `new_owner` map a key hash to the id of its primary
-/// owner under the respective membership (typically rendezvous rank 0
-/// over live workers). A key is *moved* exactly when the two owners
-/// differ and the new membership assigns one at all. The result is
-/// sorted by hash and deduplicated.
-pub fn moved_set<F, G>(hashes: &[u64], old_owner: F, new_owner: G) -> Vec<MovedKey>
-where
-    F: Fn(u64) -> Option<String>,
-    G: Fn(u64) -> Option<String>,
-{
-    let mut seen = BTreeSet::new();
-    let mut moved = Vec::new();
-    for &hash in hashes {
-        if !seen.insert(hash) {
-            continue;
-        }
-        let from = old_owner(hash);
-        let Some(to) = new_owner(hash) else {
-            continue;
-        };
-        if from.as_deref() != Some(to.as_str()) {
-            moved.push(MovedKey { hash, from, to });
-        }
-    }
-    moved.sort_by_key(|m| m.hash);
-    moved
-}
-
-/// Coalesces `moved` hashes into the fewest inclusive `(lo, hi)` hash
-/// ranges such that no *unmoved* donor key falls inside any range.
+/// Coalesces `wanted` hashes into the fewest inclusive `(lo, hi)` hash
+/// ranges such that no *unwanted* donor key falls inside any range.
 ///
 /// `donor_keys` is the donor's full inventory (its digest hashes). A
 /// `warm-pull lo hi` over each returned range therefore ships exactly
-/// the moved keys — nothing the differ didn't ask for — while merging
-/// adjacent moved keys into one round trip.
-pub fn pull_ranges(moved: &[u64], donor_keys: &[u64]) -> Vec<(u64, u64)> {
-    let moved_set: BTreeSet<u64> = moved.iter().copied().collect();
-    if moved_set.is_empty() {
+/// the wanted keys the donor listed — nothing else — while merging
+/// adjacent wanted keys into one round trip. O(n log n) in the sizes
+/// of both inputs.
+pub fn pull_ranges(wanted: &[u64], donor_keys: &[u64]) -> Vec<(u64, u64)> {
+    let wanted: BTreeSet<u64> = wanted.iter().copied().collect();
+    if wanted.is_empty() {
         return Vec::new();
     }
     // Walk the donor's inventory in hash order; runs of consecutive
-    // moved keys become one range pinned to the run's end hashes, so
-    // an unmoved key can never sit inside a range.
-    let mut donor: Vec<u64> = donor_keys.iter().copied().collect::<BTreeSet<_>>()
-        .into_iter()
-        .collect();
-    // Moved keys the donor doesn't list still get a degenerate range —
-    // the pull returns nothing, which is correct and harmless.
-    donor.extend(moved_set.iter().copied().filter(|h| {
-        !donor_keys.contains(h)
-    }));
-    donor.sort_unstable();
-    donor.dedup();
+    // wanted keys become one range pinned to the run's end hashes, so
+    // an unwanted key can never sit inside a range. Wanted keys the
+    // donor doesn't list still get a degenerate range — the pull
+    // returns nothing, which is correct and harmless.
+    let mut inventory: BTreeSet<u64> = donor_keys.iter().copied().collect();
+    inventory.extend(&wanted);
     let mut ranges: Vec<(u64, u64)> = Vec::new();
     let mut run: Option<(u64, u64)> = None;
-    for &hash in &donor {
-        if moved_set.contains(&hash) {
-            run = match run {
-                None => Some((hash, hash)),
-                Some((lo, _)) => Some((lo, hash)),
-            };
+    for hash in inventory {
+        if wanted.contains(&hash) {
+            run = Some((run.map_or(hash, |(lo, _)| lo), hash));
         } else if let Some(done) = run.take() {
             ranges.push(done);
         }
     }
-    if let Some(done) = run {
-        ranges.push(done);
-    }
+    ranges.extend(run);
     ranges
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn owner_mod<'a>(n: u64, ids: &'a [&'a str]) -> impl Fn(u64) -> Option<String> + 'a {
-        move |hash| {
-            if ids.is_empty() {
-                None
-            } else {
-                Some(ids[(hash % n) as usize % ids.len()].to_string())
-            }
-        }
-    }
-
-    #[test]
-    fn moved_set_reports_exactly_the_differing_keys() {
-        let hashes: Vec<u64> = (0..20).collect();
-        let old = owner_mod(2, &["a", "b"]);
-        let new = owner_mod(2, &["a", "c"]);
-        let moved = moved_set(&hashes, old, new);
-        // Odd hashes moved b → c; even hashes stayed on a.
-        assert_eq!(moved.len(), 10);
-        for m in &moved {
-            assert_eq!(m.hash % 2, 1);
-            assert_eq!(m.from.as_deref(), Some("b"));
-            assert_eq!(m.to, "c");
-        }
-    }
-
-    #[test]
-    fn moved_set_dedups_and_sorts() {
-        let moved = moved_set(
-            &[5, 5, 3, 3, 1],
-            |_| Some("x".to_string()),
-            |_| Some("y".to_string()),
-        );
-        assert_eq!(moved.iter().map(|m| m.hash).collect::<Vec<_>>(), [1, 3, 5]);
-    }
-
-    #[test]
-    fn unowned_new_keys_do_not_move() {
-        let moved = moved_set(&[1, 2], |_| Some("x".to_string()), |_| None);
-        assert!(moved.is_empty());
-    }
 
     #[test]
     fn pull_ranges_never_cover_an_unmoved_donor_key() {

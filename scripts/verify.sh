@@ -28,7 +28,9 @@ test -s target/BENCH_cluster_smoke.json
 # After the join the replacement worker is probed directly with every
 # distinct instance; with warmsync on its shipped warm state must answer
 # strictly more cheaply than the warmsync-off baseline, and with full
-# replication it must answer with zero recomputed probes.
+# replication it must answer with zero recomputed probes. A third run at
+# the default replication factor (R = 2) must also beat the baseline and
+# answer some probes from shipped state.
 ./target/release/pcmax bench-cluster \
   --workers 3 --clients 2 --requests 8 --distinct 4 \
   --jobs 16 --machines 3 --churn 1 --replicas 3 \
@@ -37,11 +39,17 @@ test -s target/BENCH_cluster_smoke.json
   --out target/BENCH_cluster_churn_on.json
 ./target/release/pcmax bench-cluster \
   --workers 3 --clients 2 --requests 8 --distinct 4 \
+  --jobs 16 --machines 3 --churn 1 \
+  --heartbeat-ms 50 --max-missed 2 \
+  --store-dir target/warmsync-churn-r2 \
+  --out target/BENCH_cluster_churn_r2.json
+./target/release/pcmax bench-cluster \
+  --workers 3 --clients 2 --requests 8 --distinct 4 \
   --jobs 16 --machines 3 --churn 1 --warmsync off \
   --heartbeat-ms 50 --max-missed 2 \
   --store-dir target/warmsync-churn-off \
   --out target/BENCH_cluster_churn_off.json
-rm -rf target/warmsync-churn-on target/warmsync-churn-off
+rm -rf target/warmsync-churn-on target/warmsync-churn-r2 target/warmsync-churn-off
 miss_on=$(grep -o '"cold_misses":[0-9]*' target/BENCH_cluster_churn_on.json | head -1 | cut -d: -f2)
 miss_off=$(grep -o '"cold_misses":[0-9]*' target/BENCH_cluster_churn_off.json | head -1 | cut -d: -f2)
 if [ "$miss_on" -ne 0 ]; then
@@ -61,12 +69,22 @@ if [ "$avoided" -eq 0 ]; then
   echo "churn gate: joiner never answered a probe from shipped warm state" >&2
   exit 1
 fi
+miss_r2=$(grep -o '"cold_misses":[0-9]*' target/BENCH_cluster_churn_r2.json | head -1 | cut -d: -f2)
+avoided_r2=$(grep -o '"cold_misses_avoided":[0-9]*' target/BENCH_cluster_churn_r2.json | head -1 | cut -d: -f2)
+if [ "$miss_r2" -ge "$miss_off" ]; then
+  echo "churn gate (R = 2): $miss_r2 cold misses with warmsync on vs $miss_off off" >&2
+  exit 1
+fi
+if [ "$avoided_r2" -eq 0 ]; then
+  echo "churn gate (R = 2): joiner never answered a probe from shipped warm state" >&2
+  exit 1
+fi
 
 # Warmsync gauntlet: 64 seeds filtered to the warm-replication checks —
 # shipped entries byte-identical through the wire round-trip (checksum
 # re-verified), replica state byte-identical to the owner's, and the
-# rebalance planner's moved set equal to the brute-force rendezvous
-# ownership diff.
+# ranged pulls planned for a subset of the owner's keys returning
+# exactly that subset.
 ./target/release/pcmax audit --seeds 64 --engine warmsync \
   --out target/AUDIT_warmsync.json
 test -s target/AUDIT_warmsync.json

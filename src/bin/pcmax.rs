@@ -179,8 +179,8 @@ the improver gauntlet (monotonicity, validity, a-posteriori guarantee,
 fixed-seed determinism, rayon/warp-model agreement). `--engine warmsync`
 restricts it to the warm-replication gauntlet: shipped entries survive
 the wire round-trip byte-identically (checksum re-verified), a replica
-applying them holds the owner's exact bytes, and the rebalance planner's
-moved set equals the brute-force rendezvous ownership diff.";
+applying them holds the owner's exact bytes, and the ranged pulls planned
+for a subset of the owner's keys return exactly that subset.";
 
 /// Fetches the value following a `--flag`.
 fn flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
@@ -839,8 +839,8 @@ fn cmd_bench_cluster(args: &[String]) -> Result<(), String> {
                 .spawn()
                 .map_err(|e| format!("churn: spawning replacement: {e}"))?;
             if warmsync_on {
-                // One explicit round covers rebalance + repair; the
-                // elapsed time is the joiner's cost to become warm.
+                // One explicit round tops the joiner up to every key it
+                // now owns; the elapsed time is its cost to become warm.
                 coordinator.sync_warm();
             }
             churn_rebalance_us.push(join_start.elapsed().as_micros() as u64);

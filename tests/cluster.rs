@@ -1,13 +1,14 @@
 //! End-to-end cluster tests over real loopback TCP: cache-affinity
 //! routing (equivalent requests share one worker and its warm DP
 //! cache), failover under a mid-load worker kill (every request still
-//! answered — no client-visible transport errors), and the drop-in
-//! line-protocol front-end.
+//! answered — no client-visible transport errors), warm replication
+//! across a join, and the drop-in line-protocol front-end.
 
-use pcmax::cluster::{serve_cluster_tcp, LocalCluster};
+use pcmax::cluster::{rank_ids, serve_cluster_tcp, LocalCluster};
 use pcmax::core::gen::uniform;
 use pcmax::serve::{Client, ClientError, SolveRequest};
 use pcmax::{ClusterConfig, Instance, ServeConfig};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -349,6 +350,74 @@ fn kill_and_join_replacement_serves_warm_keys_from_shipped_state() {
         joined_service.warm().expect("store-backed").cold_misses_avoided() > 0,
         "the avoided cold solves must be counted"
     );
+
+    drop(cluster);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Blocks until the coordinator's heartbeat-reported `warm_seq` of
+/// every worker matches its log's, so a sync round's digest refresh
+/// sees every entry.
+fn wait_for_fresh_warm_seqs(cluster: &LocalCluster) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let report = cluster.coordinator().report();
+        let fresh = (0..cluster.len()).all(|i| {
+            let actual = cluster.service(i).expect("worker alive").warm_digest().max_seq;
+            report.workers[i].warm_seq == actual
+        });
+        if fresh {
+            return;
+        }
+        assert!(Instant::now() < deadline, "heartbeats never reported current warm seqs");
+        std::thread::sleep(Duration::from_millis(25));
+    }
+}
+
+#[test]
+fn sync_round_keeps_every_key_on_its_top_two_owners_after_a_join() {
+    // Default R = 2: after a join, one round must leave every known
+    // warm key on its top-2 live rendezvous owners, and a second round
+    // over current digests must find nothing to move.
+    let dir = std::env::temp_dir().join(format!("pcmax-warmsync-top2-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let serve_config = ServeConfig {
+        store_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    };
+    let cluster =
+        LocalCluster::start(3, serve_config, fast_cluster_config()).expect("start cluster");
+    let coordinator = cluster.coordinator();
+    assert_eq!(coordinator.config().replication_factor, 2);
+    for seed in 0..3 {
+        coordinator
+            .solve(request(&uniform(seed, 16, 3, 1, 100)))
+            .expect("warm solve");
+    }
+    cluster.spawn().expect("join");
+
+    wait_for_fresh_warm_seqs(&cluster);
+    coordinator.sync_warm();
+    let ids = cluster.ids();
+    let refs: Vec<&str> = ids.iter().map(String::as_str).collect();
+    let held: Vec<HashSet<u64>> = (0..cluster.len())
+        .map(|i| {
+            let digest = cluster.service(i).expect("worker alive").warm_digest();
+            digest.entries.iter().map(|&(hash, _)| hash).collect()
+        })
+        .collect();
+    let union: HashSet<u64> = held.iter().flatten().copied().collect();
+    assert!(!union.is_empty(), "the solves left warm entries");
+    for &hash in &union {
+        for owner in rank_ids(&refs, hash).into_iter().take(2) {
+            let i = cluster.index_of(owner).expect("known worker");
+            assert!(held[i].contains(&hash), "{owner} lacks key {hash:#x}");
+        }
+    }
+
+    wait_for_fresh_warm_seqs(&cluster);
+    let again = coordinator.sync_warm();
+    assert!(again.shipped == 0 && again.pulled == 0, "a converged round moved entries: {again:?}");
 
     drop(cluster);
     let _ = std::fs::remove_dir_all(&dir);
