@@ -233,20 +233,6 @@ impl GpuSim {
                 .total_cmp(&b.start_ns)
                 .then(a.stream.cmp(&b.stream))
         });
-        if pcmax_obs::enabled() {
-            let timeline = pcmax_obs::timeline::global();
-            pcmax_obs::registry::global()
-                .counter("gpu.kernels")
-                .add(records.len() as u64);
-            for rec in &records {
-                timeline.record(pcmax_obs::TimelineEvent {
-                    track: format!("gpu.stream{}", rec.stream),
-                    name: rec.name.clone(),
-                    start_us: (rec.start_ns / 1_000.0) as u64,
-                    dur_us: ((rec.end_ns - rec.start_ns) / 1_000.0) as u64,
-                });
-            }
-        }
         let occupancy = if now > 0.0 {
             used_slot_time / (slots * now)
         } else {

@@ -929,10 +929,9 @@ pub fn check_portfolio(inst: &Instance, ctx: &mut CheckCtx<'_>) {
 ///   improved answer holds in `u128`,
 /// * a fixed seed reruns to the identical schedule (the config's caps
 ///   bind before the generous deadline, so the outcome is host-speed
-///   independent), and
-/// * the rayon and warp-model fitness paths agree bit-for-bit.
+///   independent).
 pub fn check_improver(inst: &Instance, ctx: &mut CheckCtx<'_>) {
-    use pcmax_improve::{improve, EvalPath, ImproveConfig, ImproveMode};
+    use pcmax_improve::{improve, ImproveConfig, ImproveMode};
     use std::time::Duration;
 
     let lb = bounds::lower_bound(inst);
@@ -1015,22 +1014,6 @@ pub fn check_improver(inst: &Instance, ctx: &mut CheckCtx<'_>) {
                     ),
                 ),
                 Err(e) => ctx.diverge("improver-determinism", format!("rerun failed: {e}")),
-            }
-            ctx.bump();
-            let warp = ImproveConfig {
-                eval: EvalPath::WarpModel,
-                ..cfg
-            };
-            match improve(inst, &piled, &warp) {
-                Ok(warp) if warp.schedule == out.schedule => {}
-                Ok(warp) => ctx.diverge(
-                    "improver-eval-path",
-                    format!(
-                        "warp-model fitness diverged from rayon ({} vs {})",
-                        warp.makespan, out.makespan
-                    ),
-                ),
-                Err(e) => ctx.diverge("improver-eval-path", format!("warp path failed: {e}")),
             }
         }
     }

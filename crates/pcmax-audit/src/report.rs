@@ -1,5 +1,5 @@
-//! The audit report: a machine-readable divergence list plus counters
-//! on the `pcmax_obs` registry.
+//! The audit report: a machine-readable divergence list with the case
+//! and check totals.
 
 use pcmax_obs::JsonWriter;
 
@@ -58,15 +58,6 @@ impl AuditReport {
         w.finish()
     }
 
-    /// Publishes the totals on the global `pcmax_obs` registry, so the
-    /// audit shows up next to serve/cluster counters in `stats` dumps.
-    pub fn publish_counters(&self) {
-        let reg = pcmax_obs::registry::global();
-        reg.counter("audit.cases").add(self.cases);
-        reg.counter("audit.checks").add(self.checks);
-        reg.counter("audit.divergences")
-            .add(self.divergences.len() as u64);
-    }
 }
 
 #[cfg(test)]

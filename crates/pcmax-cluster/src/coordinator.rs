@@ -21,7 +21,6 @@ use crate::ring::{rendezvous_score, RouteKey};
 use crate::stats::{ClusterReport, ClusterStats, WorkerReport};
 use crate::worker::{WorkerNode, WorkerState};
 use pcmax_core::Instance;
-use pcmax_obs::TimelineEvent;
 use pcmax_serve::{
     heuristic_best, Client, ClientError, ClientReply, RequestStats, SolveRequest, SolveResponse,
 };
@@ -179,7 +178,6 @@ impl Coordinator {
     pub fn add_worker(&self, id: &str, addr: SocketAddr) {
         let node = Arc::new(WorkerNode::new(id, addr));
         self.workers.write().expect("workers poisoned").push(node);
-        self.event("cluster.ring", &format!("join {id}"));
     }
 
     /// Deregisters a worker; `None` if the id was unknown. Only the
@@ -190,10 +188,6 @@ impl Coordinator {
         let mut workers = self.workers.write().expect("workers poisoned");
         let snapshot = workers.iter().find(|w| w.id == id).map(|w| w.state());
         workers.retain(|w| w.id != id);
-        drop(workers);
-        if snapshot.is_some() {
-            self.event("cluster.ring", &format!("leave {id}"));
-        }
         snapshot
     }
 
@@ -282,7 +276,6 @@ impl Coordinator {
                 }
             }
             self.stats.failovers.inc();
-            self.event("cluster.failover", &format!("past {}", worker.id));
         }
         Ok(self.degrade_local(&req.instance, ranked.len() as u32, retries, started))
     }
@@ -415,7 +408,6 @@ impl Coordinator {
         let makespan = schedule.makespan(inst);
         self.stats.completed.inc();
         self.stats.degraded_local.inc();
-        self.event("cluster.failover", "degrade local");
         if pcmax_obs::enabled() {
             self.stats.latency_us.record(started.elapsed().as_micros() as u64);
         }
@@ -461,9 +453,7 @@ impl Coordinator {
         state.missed_beats = state.missed_beats.saturating_add(1);
         if state.up && state.missed_beats >= self.config.max_missed_beats {
             state.up = false;
-            drop(state);
             self.stats.marked_down.inc();
-            self.event("cluster.health", &format!("{} down", worker.id));
         }
     }
 
@@ -473,9 +463,7 @@ impl Coordinator {
         state.missed_beats = 0;
         if !state.up {
             state.up = true;
-            drop(state);
             self.stats.marked_up.inc();
-            self.event("cluster.health", &format!("{} up", worker.id));
         }
     }
 
@@ -580,19 +568,6 @@ impl Coordinator {
             ship_us: self.stats.ship_us.snapshot(),
             pull_us: self.stats.pull_us.snapshot(),
             workers: workers.iter().map(|w| WorkerReport::of(w)).collect(),
-        }
-    }
-
-    /// Records a routing/health event on the global timeline (only while
-    /// `pcmax_obs` recording is enabled).
-    pub(crate) fn event(&self, track: &str, name: &str) {
-        if pcmax_obs::enabled() {
-            pcmax_obs::timeline::global().record(TimelineEvent {
-                track: track.to_string(),
-                name: name.to_string(),
-                start_us: self.uptime().as_micros() as u64,
-                dur_us: 0,
-            });
         }
     }
 }

@@ -310,92 +310,6 @@ fn ffd_fits(inst: &Instance, order: &[usize], cap: u64, m: usize) -> Option<Vec<
     Some(assignment)
 }
 
-/// Move/swap local search: repeatedly relieve a most-loaded machine by
-/// moving one of its jobs to a less-loaded machine, or swapping one of
-/// its jobs with a shorter job elsewhere, until no move improves the
-/// schedule. Acceptance is lexicographic on
-/// `(makespan, #machines at makespan)`, which lets the search drain
-/// plateaus where several machines tie at the maximum.
-///
-/// Never worsens the input; at most `max_rounds` improving steps.
-pub fn local_search(inst: &Instance, schedule: &Schedule, max_rounds: usize) -> Schedule {
-    let m = inst.machines();
-    let mut assignment = schedule.assignment().to_vec();
-    let mut loads = schedule.loads(inst);
-    let mut per_machine: Vec<Vec<usize>> = schedule.machine_jobs();
-
-    let rank = |loads: &[u64]| {
-        let ms = *loads.iter().max().expect("m > 0");
-        let ties = loads.iter().filter(|&&l| l == ms).count();
-        (ms, ties)
-    };
-
-    for _ in 0..max_rounds {
-        let (makespan, _) = rank(&loads);
-        let crit = (0..m)
-            .find(|&k| loads[k] == makespan)
-            .expect("some machine is critical");
-        let current = rank(&loads);
-        let mut applied = false;
-
-        // Move: take a job off the critical machine.
-        'outer: for (slot, &job) in per_machine[crit].iter().enumerate() {
-            let t = inst.time(job);
-            for dst in 0..m {
-                if dst == crit || loads[dst] + t >= makespan {
-                    continue;
-                }
-                loads[crit] -= t;
-                loads[dst] += t;
-                if rank(&loads) < current {
-                    assignment[job] = dst;
-                    per_machine[crit].swap_remove(slot);
-                    per_machine[dst].push(job);
-                    applied = true;
-                    break 'outer;
-                }
-                loads[crit] += t;
-                loads[dst] -= t;
-            }
-        }
-
-        // Swap: exchange a critical job with a shorter one elsewhere.
-        if !applied {
-            'swap: for (slot_a, &a) in per_machine[crit].iter().enumerate() {
-                let ta = inst.time(a);
-                for dst in 0..m {
-                    if dst == crit {
-                        continue;
-                    }
-                    for (slot_b, &b) in per_machine[dst].iter().enumerate() {
-                        let tb = inst.time(b);
-                        if tb >= ta || loads[dst] - tb + ta >= makespan {
-                            continue;
-                        }
-                        loads[crit] = loads[crit] - ta + tb;
-                        loads[dst] = loads[dst] - tb + ta;
-                        if rank(&loads) < current {
-                            assignment[a] = dst;
-                            assignment[b] = crit;
-                            per_machine[crit][slot_a] = b;
-                            per_machine[dst][slot_b] = a;
-                            applied = true;
-                            break 'swap;
-                        }
-                        loads[crit] = loads[crit] + ta - tb;
-                        loads[dst] = loads[dst] + tb - ta;
-                    }
-                }
-            }
-        }
-
-        if !applied {
-            break; // local optimum
-        }
-    }
-    Schedule::new(assignment, m)
-}
-
 /// MULTIFIT: binary search on the bin capacity, testing feasibility with
 /// First-Fit Decreasing. `iterations` controls the binary-search depth
 /// (7 suffices for the classical 13/11 bound).
@@ -486,61 +400,6 @@ mod tests {
         // 4 jobs of 5 on 2 machines: perfect split at makespan 10.
         let inst = Instance::new(vec![5, 5, 5, 5], 2);
         assert_eq!(multifit(&inst, 20).makespan(&inst), 10);
-    }
-
-    #[test]
-    fn local_search_never_worsens_and_stays_valid() {
-        for seed in 0..10 {
-            let inst = uniform(700 + seed, 35, 5, 1, 60);
-            let start = list_schedule(&inst);
-            let improved = local_search(&inst, &start, 10_000);
-            let before = start.makespan(&inst);
-            let after = improved.validate(&inst).unwrap();
-            assert!(after <= before, "seed {seed}: {after} > {before}");
-        }
-    }
-
-    #[test]
-    fn local_search_fixes_classic_list_blunder() {
-        // 1,1,1,1,4,4 on 2 machines: list gets 6 only by luck of order;
-        // force the bad order (4,4 on one machine) and repair it.
-        let inst = Instance::new(vec![4, 4, 1, 1, 1, 1], 2);
-        let bad = Schedule::new(vec![0, 0, 1, 1, 1, 1], 2);
-        assert_eq!(bad.makespan(&inst), 8);
-        let fixed = local_search(&inst, &bad, 100);
-        assert_eq!(fixed.makespan(&inst), 6);
-    }
-
-    #[test]
-    fn local_search_reaches_optimum_when_one_swap_away() {
-        // (5,3) vs (4,4): swap 5↔4 gives (4,4) vs (5,3)… makespan 8 → 8;
-        // use a case where a move strictly helps: loads (9,3) with a 3 on
-        // the critical machine movable.
-        let inst = Instance::new(vec![6, 3, 3], 2);
-        let bad = Schedule::new(vec![0, 0, 1], 2);
-        assert_eq!(bad.makespan(&inst), 9);
-        let fixed = local_search(&inst, &bad, 100);
-        assert_eq!(fixed.makespan(&inst), 6);
-    }
-
-    #[test]
-    fn local_search_after_lpt_matches_or_beats_lpt() {
-        for seed in 0..8 {
-            let inst = uniform(800 + seed, 12, 3, 1, 25);
-            let lpt_s = lpt(&inst);
-            let polished = local_search(&inst, &lpt_s, 1_000);
-            assert!(polished.makespan(&inst) <= lpt_s.makespan(&inst));
-            let opt = brute_force_makespan(&inst);
-            assert!(polished.makespan(&inst) >= opt);
-        }
-    }
-
-    #[test]
-    fn local_search_zero_rounds_is_identity() {
-        let inst = uniform(3, 10, 3, 1, 10);
-        let start = list_schedule(&inst);
-        let same = local_search(&inst, &start, 0);
-        assert_eq!(same.assignment(), start.assignment());
     }
 
     #[test]

@@ -110,7 +110,7 @@ pub fn solve_gpu(inst: &Instance, cfg: &GpuPtasConfig) -> GpuPtasOutcome {
         bounds::lower_bound(inst),
         bounds::upper_bound(inst),
         cfg.processes,
-        |lb, ub, targets| {
+        |_, _, targets| {
             let mut sim = GpuSim::new(cfg.spec.clone(), cfg.processes * cfg.streams_per_process);
             let mut feasible = Vec::new();
             let mut table_sizes = Vec::new();
@@ -146,16 +146,6 @@ pub fn solve_gpu(inst: &Instance, cfg: &GpuPtasConfig) -> GpuPtasOutcome {
                 }
             }
             let round_ms = sim.run().millis();
-            if pcmax_obs::enabled() {
-                // Lay each round on a search-level track: start at the modeled
-                // time already accumulated, so rounds abut on the time axis.
-                pcmax_obs::timeline::global().record(pcmax_obs::TimelineEvent {
-                    track: "gpu.search".to_string(),
-                    name: format!("round{} [{lb},{ub}]", rounds.len()),
-                    start_us: (modeled_ms * 1_000.0) as u64,
-                    dur_us: (round_ms * 1_000.0) as u64,
-                });
-            }
             modeled_ms += round_ms;
             rounds.push(RoundRecord {
                 targets: targets.to_vec(),

@@ -3,15 +3,15 @@
 //! The neighborhood relieves a most-loaded (critical) machine two ways:
 //! *move* one of its jobs to a machine that stays below the makespan, or
 //! *swap* one of its jobs against a strictly shorter job elsewhere.
-//! Acceptance is lexicographic on `(makespan, #machines at makespan)`,
-//! the same rank `pcmax_core::heuristics::local_search` uses — lowering
-//! the tie count drains plateaus where several machines share the
-//! maximum, which is what eventually lowers the maximum itself.
+//! Acceptance is lexicographic on `(makespan, #machines at makespan)`:
+//! lowering the tie count drains plateaus where several machines share
+//! the maximum, which is what eventually lowers the maximum itself.
 //!
-//! Unlike `local_search`, the loop here is *anytime*: the wall clock is
-//! checked between rounds, so a deadline stops the search at the last
-//! completed improving step — never mid-update — and the partial result
-//! is still valid and no worse than the input.
+//! The loop is *anytime*: the wall clock is checked between rounds, so a
+//! deadline stops the search at the last completed improving step —
+//! never mid-update — and the partial result is still valid and no worse
+//! than the input. It is also the workspace's only move/swap descent:
+//! `pcmax compare` polishes with it under a deadline that does not bind.
 
 use crate::ImproveStats;
 use pcmax_core::instance::Instance;
@@ -121,15 +121,26 @@ mod tests {
     }
 
     #[test]
-    fn reaches_the_local_search_fixpoint() {
+    fn pins_the_fixpoint_makespan() {
         let inst = Instance::new(vec![9, 7, 6, 5, 4, 4, 3, 2, 2], 3);
         let piled = Schedule::new(vec![0; 9], 3);
         let mut stats = ImproveStats::default();
         let out = descend(&inst, &piled, far_deadline(), 10_000, &mut stats);
-        let reference =
-            pcmax_core::heuristics::local_search(&inst, &piled, 10_000);
-        assert_eq!(out.makespan(&inst), reference.makespan(&inst));
+        // A local optimum one above the area bound (42 / 3 = 14): no
+        // single move or swap lowers the rank from here.
+        assert_eq!(out.validate(&inst).unwrap(), 15);
         assert!(stats.accepted_moves >= 6, "pile → balanced takes moves");
+    }
+
+    #[test]
+    fn fixes_the_classic_list_blunder() {
+        // Both 4s on one machine: a swap (4↔1) then a move (a 1 back)
+        // takes the loads (8, 4) → (5, 7) → (6, 6).
+        let inst = Instance::new(vec![4, 4, 1, 1, 1, 1], 2);
+        let bad = Schedule::new(vec![0, 0, 1, 1, 1, 1], 2);
+        let mut stats = ImproveStats::default();
+        let out = descend(&inst, &bad, far_deadline(), 100, &mut stats);
+        assert_eq!(out.makespan(&inst), 6);
     }
 
     #[test]

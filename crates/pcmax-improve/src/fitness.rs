@@ -1,56 +1,12 @@
-//! Batched makespan-fitness evaluation: rayon pool or gpu-sim warp model.
+//! Batched makespan-fitness evaluation across the rayon pool.
 //!
-//! Both paths compute the *identical* exact integer makespan per
-//! chromosome (a u64 load accumulation — safe because every gated
-//! [`Instance`] has Σtⱼ ≤ `u64::MAX`), so their outputs agree
-//! bit-for-bit under any seed; the audit harness checks exactly that.
-//! The difference is the cost model wrapped around the arithmetic:
-//!
-//! * [`EvalPath::Rayon`] maps the batch across the rayon pool — the
-//!   production path.
-//! * [`EvalPath::WarpModel`] walks the batch in warp-sized lockstep
-//!   chunks and mirrors the work on the gpu-sim device model, following
-//!   the island-GA GPU fitness kernel's shape (one thread per
-//!   chromosome, chromosome-major layout — which is *strided* across
-//!   the warp, the same uncoalesced pattern the paper's §III.B
-//!   analyses). While obs recording is enabled the modeled kernel time
-//!   lands in `improve.warp_model_ns`, giving the bench trajectory a
-//!   hardware-cost account for GA fitness without needing a GPU.
+//! Each chromosome's fitness is its exact integer makespan (a u64 load
+//! accumulation — safe because every gated [`Instance`] has
+//! Σtⱼ ≤ `u64::MAX`). The batch has the shape of a GPU fitness kernel
+//! (one thread per chromosome); here it is mapped across the rayon pool.
 
-use gpu_sim::{DeviceSpec, GpuSim, KernelDesc, WarpBuilder};
 use pcmax_core::instance::Instance;
 use rayon::prelude::*;
-
-/// Where a fitness batch is evaluated. Paths agree bit-for-bit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvalPath {
-    /// Map the batch across the rayon pool.
-    #[default]
-    Rayon,
-    /// Lockstep warp-chunk walk mirrored on the gpu-sim device model.
-    WarpModel,
-}
-
-impl std::str::FromStr for EvalPath {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "rayon" => Ok(EvalPath::Rayon),
-            "warp" => Ok(EvalPath::WarpModel),
-            _ => Err(format!("unknown eval path {s:?} (rayon|warp)")),
-        }
-    }
-}
-
-impl std::fmt::Display for EvalPath {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            EvalPath::Rayon => write!(f, "rayon"),
-            EvalPath::WarpModel => write!(f, "warp"),
-        }
-    }
-}
 
 /// Exact makespan of one assignment chromosome. `u64` accumulation is
 /// safe: the instance gate caps total work at `u64::MAX`.
@@ -63,63 +19,12 @@ pub fn makespan_of(inst: &Instance, assignment: &[usize]) -> u64 {
     loads.into_iter().max().unwrap_or(0)
 }
 
-/// Evaluates a population's makespans on the chosen path.
-pub fn evaluate_batch(
-    inst: &Instance,
-    population: &[Vec<usize>],
-    path: EvalPath,
-) -> Vec<u64> {
-    match path {
-        EvalPath::Rayon => population
-            .par_iter()
-            .map(|chromo| makespan_of(inst, chromo))
-            .collect(),
-        EvalPath::WarpModel => warp_model_batch(inst, population),
-    }
-}
-
-/// Lockstep evaluation in warp-sized chunks, with the work mirrored on
-/// the device model.
-fn warp_model_batch(inst: &Instance, population: &[Vec<usize>]) -> Vec<u64> {
-    let spec = DeviceSpec::k40();
-    let n = inst.num_jobs() as u64;
-    let m = inst.machines() as u64;
-    // One thread per chromosome; the builder groups threads into warps
-    // of `spec.warp_size` in launch order, so consecutive chromosomes
-    // share a lockstep warp.
-    let mut builder = WarpBuilder::new(&spec);
-    let mut fitness = Vec::with_capacity(population.len());
-
-    for (idx, chromo) in population.iter().enumerate() {
-        // The arithmetic is the same `makespan_of` the rayon path runs.
-        fitness.push(makespan_of(inst, chromo));
-        // Device account: one op per job placement plus the final
-        // max-scan over machines; addresses are chromosome-major
-        // (`(idx·n + j)·4`), i.e. strided across the warp — each lane
-        // touches its own cache lines, the uncoalesced worst case of a
-        // population laid out row-per-individual.
-        let addresses: Vec<u64> =
-            (0..n).map(|j| ((idx as u64) * n + j) * 4).collect();
-        builder.thread(n + m, addresses);
-    }
-
-    if pcmax_obs::enabled() {
-        let warps = builder.finish();
-        if !warps.is_empty() {
-            let kernel = KernelDesc::new(
-                format!("improve.fitness[pop {}]", population.len()),
-                warps,
-            );
-            let mut sim = GpuSim::new(spec, 1);
-            sim.launch(0, kernel);
-            let report = sim.run();
-            let reg = pcmax_obs::registry::global();
-            reg.counter("improve.warp_batches").inc();
-            reg.histogram("improve.warp_model_ns")
-                .record(report.total_ns.max(0.0) as u64);
-        }
-    }
-    fitness
+/// Evaluates a population's makespans across the rayon pool.
+pub fn evaluate_batch(inst: &Instance, population: &[Vec<usize>]) -> Vec<u64> {
+    population
+        .par_iter()
+        .map(|chromo| makespan_of(inst, chromo))
+        .collect()
 }
 
 #[cfg(test)]
@@ -128,26 +33,15 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
-    fn random_population(
-        rng: &mut SmallRng,
-        n: usize,
-        m: usize,
-        size: usize,
-    ) -> Vec<Vec<usize>> {
-        (0..size)
-            .map(|_| (0..n).map(|_| rng.gen_range(0..m)).collect())
-            .collect()
-    }
-
     #[test]
-    fn paths_agree_bit_for_bit() {
+    fn batch_matches_one_by_one() {
         let inst = Instance::new(vec![13, 11, 7, 7, 5, 3, 3, 2, 1, 1], 3);
         let mut rng = SmallRng::seed_from_u64(42);
-        // 70 chromosomes: two full warps plus a partial trailing one.
-        let pop = random_population(&mut rng, inst.num_jobs(), inst.machines(), 70);
-        let a = evaluate_batch(&inst, &pop, EvalPath::Rayon);
-        let b = evaluate_batch(&inst, &pop, EvalPath::WarpModel);
-        assert_eq!(a, b);
+        let pop: Vec<Vec<usize>> = (0..70)
+            .map(|_| (0..inst.num_jobs()).map(|_| rng.gen_range(0..3)).collect())
+            .collect();
+        let one_by_one: Vec<u64> = pop.iter().map(|c| makespan_of(&inst, c)).collect();
+        assert_eq!(evaluate_batch(&inst, &pop), one_by_one);
     }
 
     #[test]
@@ -161,8 +55,7 @@ mod tests {
     #[test]
     fn empty_population_is_fine() {
         let inst = Instance::new(vec![1, 2], 2);
-        assert!(evaluate_batch(&inst, &[], EvalPath::Rayon).is_empty());
-        assert!(evaluate_batch(&inst, &[], EvalPath::WarpModel).is_empty());
+        assert!(evaluate_batch(&inst, &[]).is_empty());
     }
 
     #[test]
@@ -170,7 +63,6 @@ mod tests {
         let inst = Instance::new(vec![u64::MAX - 1, 1], 2);
         let piled = vec![0usize, 0];
         assert_eq!(makespan_of(&inst, &piled), u64::MAX);
-        let both = evaluate_batch(&inst, &[piled], EvalPath::WarpModel);
-        assert_eq!(both, vec![u64::MAX]);
+        assert_eq!(evaluate_batch(&inst, &[piled]), vec![u64::MAX]);
     }
 }

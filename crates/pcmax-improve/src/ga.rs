@@ -12,9 +12,8 @@
 //! copies island *i*'s best over island *(i+1) mod I*'s worst.
 //!
 //! All randomness (tournament draws, crossover masks, mutation sites)
-//! comes from one [`SmallRng`] seeded with [`ImproveConfig::seed`], and
-//! fitness values are identical on both eval paths, so a fixed seed
-//! reproduces the run exactly — on either path.
+//! comes from one [`SmallRng`] seeded with [`ImproveConfig::seed`], so a
+//! fixed seed reproduces the run exactly.
 
 use crate::fitness::{evaluate_batch, makespan_of};
 use crate::{ImproveConfig, ImproveStats};
@@ -73,7 +72,7 @@ pub fn run(
     if Instant::now() >= deadline {
         return seed_schedule.clone();
     }
-    let mut fitness = evaluate_flat(inst, &populations, cfg, stats);
+    let mut fitness = evaluate_flat(inst, &populations, stats);
 
     for gen in 0..cfg.max_generations as u64 {
         if Instant::now() >= deadline {
@@ -86,7 +85,7 @@ pub fn run(
             .zip(&fitness)
             .map(|(island, fit)| breed_island(island, fit, m, &mut rng))
             .collect();
-        let offspring_fit = evaluate_flat(inst, &offspring, cfg, stats);
+        let offspring_fit = evaluate_flat(inst, &offspring, stats);
         stats.generations += 1;
         populations = offspring;
         fitness = offspring_fit;
@@ -187,12 +186,11 @@ fn migrate_ring(populations: &mut [Vec<Vec<usize>>], fitness: &mut [Vec<u64>]) {
 fn evaluate_flat(
     inst: &Instance,
     populations: &[Vec<Vec<usize>>],
-    cfg: &ImproveConfig,
     stats: &mut ImproveStats,
 ) -> Vec<Vec<u64>> {
     let flat: Vec<Vec<usize>> = populations.iter().flatten().cloned().collect();
     stats.evaluations += flat.len() as u64;
-    let values = evaluate_batch(inst, &flat, cfg.eval);
+    let values = evaluate_batch(inst, &flat);
     let mut out = Vec::with_capacity(populations.len());
     let mut cursor = 0;
     for island in populations {
@@ -221,7 +219,6 @@ fn argmax(values: &[u64]) -> (usize, &u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fitness::EvalPath;
     use std::time::Duration;
 
     fn far_deadline() -> Instant {
@@ -249,18 +246,16 @@ mod tests {
     }
 
     #[test]
-    fn fixed_seed_reproduces_on_both_eval_paths() {
+    fn fixed_seed_reproduces() {
         let inst = Instance::new(vec![23, 19, 17, 13, 11, 7, 7, 5, 3, 2], 4);
         let seed = pcmax_core::heuristics::lpt(&inst);
         let mut base = cfg();
         base.seed = 7;
-        let mut warp = base;
-        warp.eval = EvalPath::WarpModel;
         let mut s1 = ImproveStats::default();
         let mut s2 = ImproveStats::default();
         let a = run(&inst, &seed, &base, 3, 6, far_deadline(), &mut s1);
-        let b = run(&inst, &seed, &warp, 3, 6, far_deadline(), &mut s2);
-        assert_eq!(a, b, "eval path must not change the search trajectory");
+        let b = run(&inst, &seed, &base, 3, 6, far_deadline(), &mut s2);
+        assert_eq!(a, b, "a fixed seed must reproduce the search trajectory");
         assert_eq!(s1.evaluations, s2.evaluations);
     }
 

@@ -21,14 +21,11 @@
 //! 2. **Island GA** ([`ImproveMode::Ga`]): the descent result seeds a
 //!    population split across islands. Each generation every island's
 //!    offspring are concatenated into one batch whose makespan fitness
-//!    is evaluated either across the rayon pool or on the gpu-sim warp
-//!    model ([`EvalPath`]); the two paths agree bit-for-bit because both
-//!    run the identical integer load accumulation — the warp model only
-//!    adds a modeled-hardware cost account. Migration is a deterministic
-//!    ring (island *i*'s best replaces island *i+1*'s worst every
-//!    [`ga::MIGRATION_INTERVAL`] generations), and all randomness flows
-//!    from one splitmix-seeded [`rand::rngs::SmallRng`], so a fixed
-//!    [`ImproveConfig::seed`] reproduces the run exactly.
+//!    is evaluated across the rayon pool ([`evaluate_batch`]). Migration
+//!    is a deterministic ring (island *i*'s best replaces island *i+1*'s
+//!    worst every [`ga::MIGRATION_INTERVAL`] generations), and all
+//!    randomness flows from one splitmix-seeded [`rand::rngs::SmallRng`],
+//!    so a fixed [`ImproveConfig::seed`] reproduces the run exactly.
 //!
 //! Boundary discipline: [`improve`] validates its input schedule on
 //! entry ([`Schedule::validate`]) and recomputes the output makespan
@@ -44,7 +41,7 @@ pub mod descent;
 pub mod fitness;
 pub mod ga;
 
-pub use fitness::{evaluate_batch, EvalPath};
+pub use fitness::evaluate_batch;
 
 /// Which improvement pipeline to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,8 +118,6 @@ pub struct ImproveConfig {
     pub max_descent_rounds: usize,
     /// Hard cap on GA generations, same role as `max_descent_rounds`.
     pub max_generations: usize,
-    /// Where GA fitness batches are evaluated.
-    pub eval: EvalPath,
 }
 
 impl Default for ImproveConfig {
@@ -133,13 +128,12 @@ impl Default for ImproveConfig {
             seed: 0x1d0_c0ffee,
             max_descent_rounds: 100_000,
             max_generations: 64,
-            eval: EvalPath::Rayon,
         }
     }
 }
 
-/// What one [`improve`] call did — fed into `improve.*` obs metrics and
-/// the serve stats JSON.
+/// What one [`improve`] call did — read by the `pcmax improve` report
+/// and the serve stats JSON.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ImproveStats {
     /// Descent rounds attempted (including the final non-improving one).
@@ -222,30 +216,11 @@ pub fn improve(
     stats.final_makespan = makespan;
     stats.budget_used_us = started.elapsed().as_micros().min(u64::MAX as u128) as u64;
 
-    emit_obs(&stats);
     Ok(ImproveOutcome {
         schedule,
         makespan,
         stats,
     })
-}
-
-/// Records `improve.*` counters/histograms on the global registry while
-/// obs recording is enabled (the same gating idiom as `sparse.*`).
-fn emit_obs(stats: &ImproveStats) {
-    if !pcmax_obs::enabled() {
-        return;
-    }
-    let reg = pcmax_obs::registry::global();
-    reg.counter("improve.calls").inc();
-    reg.counter("improve.rounds").add(stats.rounds);
-    reg.counter("improve.accepted_moves").add(stats.accepted_moves);
-    reg.counter("improve.generations").add(stats.generations);
-    reg.counter("improve.evaluations").add(stats.evaluations);
-    if stats.final_makespan < stats.initial_makespan {
-        reg.counter("improve.improved").inc();
-    }
-    reg.histogram("improve.budget_used_us").record(stats.budget_used_us);
 }
 
 #[cfg(test)]

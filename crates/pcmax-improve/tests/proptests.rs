@@ -1,13 +1,12 @@
 //! Property tests for the improver, matching its two invariants:
 //! the move/swap neighborhood never increases the makespan and always
 //! conserves load (every job assigned exactly once, total work
-//! unchanged), and the full pipeline — descent and GA, on either eval
-//! path — is monotone, valid at the boundary, and deterministic under a
-//! fixed seed.
+//! unchanged), and the full pipeline — descent and GA — is monotone,
+//! valid at the boundary, and deterministic under a fixed seed.
 
 use pcmax_core::instance::Instance;
 use pcmax_core::schedule::Schedule;
-use pcmax_improve::{improve, EvalPath, ImproveConfig, ImproveMode};
+use pcmax_improve::{improve, ImproveConfig, ImproveMode};
 use proptest::prelude::*;
 use std::time::Duration;
 
@@ -25,14 +24,13 @@ fn instance_and_schedule() -> impl Strategy<Value = (Vec<u64>, usize, Vec<usize>
 
 /// A config whose caps (not wall clock) bound the run, so results are
 /// host-speed independent.
-fn capped(mode: ImproveMode, seed: u64, eval: EvalPath) -> ImproveConfig {
+fn capped(mode: ImproveMode, seed: u64) -> ImproveConfig {
     ImproveConfig {
         mode,
         budget: Duration::from_secs(600),
         seed,
         max_descent_rounds: 200,
         max_generations: 6,
-        eval,
     }
 }
 
@@ -45,7 +43,7 @@ proptest! {
     ) {
         let inst = Instance::new(times, m);
         let input = Schedule::new(start, m);
-        let cfg = capped(ImproveMode::Greedy, 1, EvalPath::Rayon);
+        let cfg = capped(ImproveMode::Greedy, 1);
         let out = improve(&inst, &input, &cfg).unwrap();
 
         // Monotone: never worse than the input.
@@ -69,7 +67,7 @@ proptest! {
         let inst = Instance::new(times, m);
         let input = Schedule::new(start, m);
         let mode = ImproveMode::Ga { islands: 2, pop: 6 };
-        let cfg = capped(mode, seed, EvalPath::Rayon);
+        let cfg = capped(mode, seed);
         let out = improve(&inst, &input, &cfg).unwrap();
 
         prop_assert!(out.makespan <= input.makespan(&inst));
@@ -80,22 +78,5 @@ proptest! {
         let again = improve(&inst, &input, &cfg).unwrap();
         prop_assert_eq!(out.schedule, again.schedule);
         prop_assert_eq!(out.makespan, again.makespan);
-    }
-
-    #[test]
-    fn eval_paths_agree_end_to_end(
-        (times, m, start) in instance_and_schedule(),
-        seed in 0u64..1000,
-    ) {
-        let inst = Instance::new(times, m);
-        let input = Schedule::new(start, m);
-        let mode = ImproveMode::Ga { islands: 2, pop: 6 };
-        let rayon = improve(&inst, &input, &capped(mode, seed, EvalPath::Rayon)).unwrap();
-        let warp = improve(&inst, &input, &capped(mode, seed, EvalPath::WarpModel)).unwrap();
-        // Bit-for-bit: the eval path is a cost model, not a semantics
-        // change, so the whole search trajectory must coincide.
-        prop_assert_eq!(rayon.schedule, warp.schedule);
-        prop_assert_eq!(rayon.makespan, warp.makespan);
-        prop_assert_eq!(rayon.stats.evaluations, warp.stats.evaluations);
     }
 }

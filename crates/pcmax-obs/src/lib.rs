@@ -5,15 +5,19 @@
 //! The paper's contribution is a performance claim, so the pipeline needs
 //! first-class measurement: where does a solve spend its time — bisection
 //! probes, rounding, DP levels — and what do serve-path latencies look
-//! like under load? This crate provides the four primitives the rest of
+//! like under load? This crate provides the three primitives the rest of
 //! the workspace instruments itself with:
 //!
-//! * [`counter::Counter`] — named atomic counters;
+//! * [`counter::Counter`] — atomic counters;
 //! * [`hist::Histogram`] — log₂-bucketed value histograms (latencies in
 //!   µs, batch sizes, …) with cheap quantile estimates;
-//! * [`span::SpanNode`] — hierarchical span trees for `pcmax trace`;
-//! * [`timeline::Timeline`] — a bounded event log for kernel/stream
-//!   timelines from the GPU simulator.
+//! * [`span::SpanNode`] — hierarchical span trees for `pcmax trace`.
+//!
+//! Each quantity has one owner: the per-instance report that counts it
+//! (`ServiceReport`, `ClusterReport`, `SimReport`, `DpStats`, …). The
+//! process-global [`registry`] cannot tell two services in one process
+//! apart, so it holds only the sparse engine's `sparse.*` metrics, which
+//! `pcmax bench-serve` reads.
 //!
 //! Everything renders to JSON through the hand-rolled writer in [`json`]
 //! (the workspace's serde is an offline no-op shim, so wire formats are
@@ -33,13 +37,11 @@ pub mod hist;
 pub mod json;
 pub mod registry;
 pub mod span;
-pub mod timeline;
 
 pub use counter::Counter;
 pub use hist::{Bucket, Histogram, HistogramSnapshot};
 pub use json::JsonWriter;
 pub use span::SpanNode;
-pub use timeline::{Timeline, TimelineEvent};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

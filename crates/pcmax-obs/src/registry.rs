@@ -1,13 +1,14 @@
 //! A process-wide registry of named counters and histograms.
 //!
 //! Instrumentation sites ask for a metric by name once (cache the `Arc`)
-//! or on each use (a short mutex-guarded map lookup); exporters walk the
-//! registry and emit every metric as JSON. Names are dot-separated by
-//! convention: `serve.queue_wait_us`, `gpu.kernels`.
+//! or on each use (a short mutex-guarded map lookup); readers ask for the
+//! same name. Names are dot-separated by convention:
+//! `sparse.settled_cells`. The registry is process-wide, so it suits only
+//! quantities that need no per-instance attribution; everything else is
+//! owned by the report of the instance that counts it.
 
 use crate::counter::Counter;
 use crate::hist::Histogram;
-use crate::json::JsonWriter;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -41,39 +42,6 @@ impl Registry {
                 .or_insert_with(|| Arc::new(Histogram::new())),
         )
     }
-
-    /// Writes `{"counters":{...},"histograms":{...}}` into `w`. Keys are
-    /// sorted (BTreeMap order), so output is deterministic.
-    pub fn write_json(&self, w: &mut JsonWriter) {
-        w.begin_object().key("counters").begin_object();
-        for (name, c) in self.counters.lock().unwrap().iter() {
-            w.field_u64(name, c.get());
-        }
-        w.end_object().key("histograms").begin_object();
-        for (name, h) in self.histograms.lock().unwrap().iter() {
-            w.key(name);
-            h.snapshot().write_json(w);
-        }
-        w.end_object().end_object();
-    }
-
-    /// The registry contents as a standalone JSON string.
-    pub fn snapshot_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        self.write_json(&mut w);
-        w.finish()
-    }
-
-    /// Resets every registered metric (tests and between-benchmark
-    /// hygiene); registrations themselves are kept.
-    pub fn reset(&self) {
-        for c in self.counters.lock().unwrap().values() {
-            c.reset();
-        }
-        for h in self.histograms.lock().unwrap().values() {
-            h.reset();
-        }
-    }
 }
 
 /// The process-wide registry.
@@ -94,28 +62,5 @@ mod tests {
         assert_eq!(r.counter("x").get(), 5);
         r.histogram("h").record(9);
         assert_eq!(r.histogram("h").count(), 1);
-    }
-
-    #[test]
-    fn snapshot_is_deterministic_json() {
-        let r = Registry::new();
-        r.counter("b.second").inc();
-        r.counter("a.first").add(7);
-        let json = r.snapshot_json();
-        assert!(
-            json.starts_with(r#"{"counters":{"a.first":7,"b.second":1}"#),
-            "{json}"
-        );
-        assert!(json.contains(r#""histograms":{}"#), "{json}");
-    }
-
-    #[test]
-    fn reset_zeroes_but_keeps_registrations() {
-        let r = Registry::new();
-        r.counter("c").add(4);
-        r.histogram("h").record(1);
-        r.reset();
-        assert_eq!(r.counter("c").get(), 0);
-        assert_eq!(r.histogram("h").count(), 0);
     }
 }

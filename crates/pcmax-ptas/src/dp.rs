@@ -177,7 +177,6 @@ impl Blocks {
 /// free), then prefetch the committed dependencies of level ℓ+1 into
 /// whatever RAM the drain freed up.
 fn overlap_streams(table: &PagedTable, levels: &BlockLevels, l: usize) {
-    let t = pcmax_obs::Timer::start();
     if l >= 1 {
         for &bf in levels.level(l - 1) {
             let _ = table.write_behind_block(bf);
@@ -187,11 +186,6 @@ fn overlap_streams(table: &PagedTable, levels: &BlockLevels, l: usize) {
         for bf in dep_blocks_below(table.layout(), levels.level(l + 1), l) {
             let _ = table.prefetch_block(bf);
         }
-    }
-    if t.is_recording() {
-        pcmax_obs::registry::global()
-            .histogram("store.overlap_us")
-            .record(t.elapsed_us());
     }
 }
 

@@ -168,20 +168,10 @@ pub struct PortfolioCounters {
 impl PortfolioCounters {
     fn note_chosen(&self, arm: Arm) {
         self.chosen[arm.idx()].fetch_add(1, Ordering::Relaxed);
-        if pcmax_obs::enabled() {
-            pcmax_obs::registry::global()
-                .counter(&format!("portfolio.chosen.{arm}"))
-                .inc();
-        }
     }
 
     fn note_won(&self, arm: Arm) {
         self.won[arm.idx()].fetch_add(1, Ordering::Relaxed);
-        if pcmax_obs::enabled() {
-            pcmax_obs::registry::global()
-                .counter(&format!("portfolio.won.{arm}"))
-                .inc();
-        }
     }
 
     /// Executes one run of `arm`, timing it into the counters.
@@ -192,9 +182,6 @@ impl PortfolioCounters {
         self.runs[arm.idx()].fetch_add(1, Ordering::Relaxed);
         if pcmax_obs::enabled() {
             self.arm_us[arm.idx()].record(us);
-            pcmax_obs::registry::global()
-                .histogram(&format!("portfolio.arm_us.{arm}"))
-                .record(us);
         }
         out
     }

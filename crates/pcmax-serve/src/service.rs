@@ -274,6 +274,10 @@ struct Counters {
     repr_dense: AtomicU64,
     repr_sparse: AtomicU64,
     repr_paged: AtomicU64,
+    paged_faults: AtomicU64,
+    prefetch_issued: AtomicU64,
+    prefetch_hits: AtomicU64,
+    writebehind_writes: AtomicU64,
     improve_runs: AtomicU64,
     improve_wins: AtomicU64,
 }
@@ -449,14 +453,11 @@ impl Service {
         }
     }
 
-    /// Snapshot of the memory tiers: RAM cache vs. budget plus warm
-    /// disk-tier counters.
+    /// Snapshot of the memory tiers: RAM cache vs. budget, warm
+    /// disk-tier counters, and the page traffic of this service's paged
+    /// probes (summed from their per-solve scratch stores).
     pub fn store_report(&self) -> StoreReport {
-        // Paged-engine overlap counters live on the global obs registry:
-        // the tiered stores backing paged probes are per-solve scratch
-        // stores, so the process-wide counters are the only aggregate
-        // that survives them.
-        let reg = pcmax_obs::registry::global();
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
         StoreReport {
             budget_bytes: self.cache.budget_bytes(),
             cache_bytes: self.cache.bytes(),
@@ -475,11 +476,10 @@ impl Service {
                 .warm
                 .as_ref()
                 .map_or_else(Default::default, |w| w.fault_latency()),
-            paged_faults: reg.counter("store.faults").get(),
-            prefetch_issued: reg.counter("store.prefetch_issued").get(),
-            prefetch_hits: reg.counter("store.prefetch_hits").get(),
-            writebehind_writes: reg.counter("store.writebehind_writes").get(),
-            overlap_us: reg.histogram("store.overlap_us").snapshot(),
+            paged_faults: load(&self.counters.paged_faults),
+            prefetch_issued: load(&self.counters.prefetch_issued),
+            prefetch_hits: load(&self.counters.prefetch_hits),
+            writebehind_writes: load(&self.counters.writebehind_writes),
         }
     }
 
@@ -641,9 +641,14 @@ impl WorkerCtx {
         self.counters
             .repr_sparse
             .fetch_add(out.repr.sparse, Ordering::Relaxed);
-        self.counters
-            .repr_paged
-            .fetch_add(out.repr.paged, Ordering::Relaxed);
+        if out.repr.paged > 0 {
+            let c = &self.counters;
+            c.repr_paged.fetch_add(out.repr.paged, Ordering::Relaxed);
+            c.paged_faults.fetch_add(out.repr.paged_faults, Ordering::Relaxed);
+            c.prefetch_issued.fetch_add(out.repr.prefetch_issued, Ordering::Relaxed);
+            c.prefetch_hits.fetch_add(out.repr.prefetch_hits, Ordering::Relaxed);
+            c.writebehind_writes.fetch_add(out.repr.writebehind_writes, Ordering::Relaxed);
+        }
         if out.degraded {
             self.counters.degraded.fetch_add(1, Ordering::Relaxed);
         }
@@ -766,6 +771,45 @@ mod tests {
         assert_eq!(res.stats.engine, EngineUsed::Ptas);
         assert!(res.target.is_some());
         service.shutdown();
+    }
+
+    #[test]
+    fn paged_store_counters_belong_to_the_service_that_paged() {
+        let dir = std::env::temp_dir().join(format!("pcmax-service-pages-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // Service A pages every probe through a scratch store whose
+        // few-hundred-byte budget forces spilling; B in the same process
+        // stays idle and must not book A's page faults as its own.
+        let a = Service::start(ServeConfig {
+            workers: 1,
+            default_deadline: Duration::from_secs(60),
+            store_dir: Some(dir.clone()),
+            max_table_cells: 8,
+            pages_budget: StoreBudget::bytes(384),
+            portfolio: PortfolioPolicy::Fixed(crate::Arm::Ptas),
+            ..ServeConfig::default()
+        });
+        let b = Service::start(ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        });
+        let inst = uniform(2, 12, 6, 50, 100);
+        let res = a
+            .solve_blocking(SolveRequest {
+                instance: inst.clone(),
+                epsilon: Some(0.17),
+                deadline: None,
+            })
+            .unwrap();
+        assert!(!res.degraded);
+        res.schedule.validate(&inst).unwrap();
+        let report = a.report();
+        assert!(report.repr.paged_probes > 0, "{report:?}");
+        assert!(report.store.paged_faults > 0, "{:?}", report.store);
+        assert_eq!(b.report().store.paged_faults, 0);
+        a.shutdown();
+        b.shutdown();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

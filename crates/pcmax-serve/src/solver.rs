@@ -23,7 +23,7 @@ use pcmax_ptas::rounding::{Rounding, RoundingOutcome};
 use pcmax_ptas::search::{self, interval};
 use pcmax_ptas::{DpEngine, DpKey, DpProblem};
 use pcmax_sparse::{PlannedRepr, SparseError};
-use pcmax_store::{ScratchDir, StoreBudget, StoreConfig, TieredStore};
+use pcmax_store::{ScratchDir, StoreBudget, StoreConfig, StoreStats, TieredStore};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -129,7 +129,8 @@ impl SolverOptions {
     }
 }
 
-/// How many cache-missing probes ran under each representation.
+/// How many cache-missing probes ran under each representation, plus
+/// the page traffic of the paged probes' scratch stores.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReprCounts {
     /// Probes solved by a dense in-RAM engine.
@@ -138,17 +139,17 @@ pub struct ReprCounts {
     pub sparse: u64,
     /// Probes solved by the paged engine against a tiered store.
     pub paged: u64,
+    /// Compute-path page faults of the paged probes.
+    pub paged_faults: u64,
+    /// Pages the paged probes' prefetch stream read off the compute path.
+    pub prefetch_issued: u64,
+    /// Faults the paged probes' prefetches turned into staging hits.
+    pub prefetch_hits: u64,
+    /// Spill files the paged probes' write-behind stream pre-wrote.
+    pub writebehind_writes: u64,
 }
 
 impl ReprCounts {
-    fn bump(&mut self, repr: PlannedRepr) {
-        match repr {
-            PlannedRepr::Dense => self.dense += 1,
-            PlannedRepr::Sparse => self.sparse += 1,
-            PlannedRepr::Paged => self.paged += 1,
-        }
-    }
-
     /// Total probes that ran a DP (any representation).
     pub fn total(&self) -> u64 {
         self.dense + self.sparse + self.paged
@@ -350,67 +351,67 @@ fn plan_repr(problem: &DpProblem, opts: &SolverOptions) -> Result<PlannedRepr, D
     }
 }
 
-/// Runs the DP under the planned representation, returning the cache
-/// entry and the representation that actually produced it (the sparse
-/// arm falls back to paged when the frontier overflows its cell cap and
-/// a pages directory exists).
+/// Runs the DP under the planned representation and counts it in
+/// `repr` under the representation that actually produced the entry
+/// (the sparse arm falls back to paged when the frontier overflows its
+/// cell cap and a pages directory exists).
 fn run_planned(
     problem: &DpProblem,
     planned: PlannedRepr,
     opts: &SolverOptions,
-) -> Result<(CachedDp, PlannedRepr), Degrade> {
+    repr: &mut ReprCounts,
+) -> Result<CachedDp, Degrade> {
     match planned {
         PlannedRepr::Dense => {
             let sol = problem.solve(opts.engine);
-            let configs = problem.extract_configs(&sol.values).map(Arc::new);
-            Ok((
-                CachedDp {
-                    opt: sol.opt,
-                    configs,
-                },
-                PlannedRepr::Dense,
-            ))
+            repr.dense += 1;
+            Ok(CachedDp {
+                opt: sol.opt,
+                configs: problem.extract_configs(&sol.values).map(Arc::new),
+            })
         }
         PlannedRepr::Sparse => match problem.solve_sparse_bounded(opts.max_table_cells) {
             Ok(sol) => {
-                let configs = sol.extract_configs().map(Arc::new);
-                Ok((
-                    CachedDp {
-                        opt: sol.opt,
-                        configs,
-                    },
-                    PlannedRepr::Sparse,
-                ))
+                repr.sparse += 1;
+                Ok(CachedDp {
+                    opt: sol.opt,
+                    configs: sol.extract_configs().map(Arc::new),
+                })
             }
             // The prediction under-estimated the frontier: page the dense
             // table if we can, otherwise degrade at the true resident size.
             Err(SparseError::FrontierOverflow { resident, .. }) => {
                 if opts.pages_dir.is_some() {
-                    run_planned(problem, PlannedRepr::Paged, opts)
+                    run_planned(problem, PlannedRepr::Paged, opts, repr)
                 } else {
                     Err(Degrade::TableTooLarge { cells: resident })
                 }
             }
         },
         PlannedRepr::Paged => {
-            let entry = solve_paged_fresh(problem, opts).ok_or(Degrade::TableTooLarge {
-                cells: problem.table_size(),
-            })?;
-            Ok((entry, PlannedRepr::Paged))
+            let cells = problem.table_size();
+            let (entry, store) =
+                solve_paged_fresh(problem, opts).ok_or(Degrade::TableTooLarge { cells })?;
+            repr.paged += 1;
+            repr.paged_faults += store.faults;
+            repr.prefetch_issued += store.prefetch_issued;
+            repr.prefetch_hits += store.prefetch_hits;
+            repr.writebehind_writes += store.writebehind_writes;
+            Ok(entry)
         }
     }
 }
 
 /// One paged solve against a *fresh* tiered store in a unique
 /// subdirectory (page ids are table-relative, so stores must never be
-/// shared across problems). A [`ScratchDir`] guard owns the directory:
-/// it sweeps stale pages a crashed predecessor left behind and removes
-/// the directory however the solve exits — success, store error, or
-/// unwind — so aborted solves never orphan spill files. Any store error
-/// collapses to `None` and the caller degrades. The sweep itself runs
-/// overlapped: prefetch and write-behind streams move page I/O off the
-/// compute path.
-fn solve_paged_fresh(problem: &DpProblem, opts: &SolverOptions) -> Option<CachedDp> {
+/// shared across problems), returned with that store's final counters.
+/// A [`ScratchDir`] guard owns the directory: it sweeps stale pages a
+/// crashed predecessor left behind and removes the directory however
+/// the solve exits — success, store error, or unwind — so aborted
+/// solves never orphan spill files. Any store error collapses to `None`
+/// and the caller degrades. The sweep itself runs overlapped: prefetch
+/// and write-behind streams move page I/O off the compute path.
+fn solve_paged_fresh(problem: &DpProblem, opts: &SolverOptions) -> Option<(CachedDp, StoreStats)> {
     static NEXT_PAGED_SOLVE: AtomicU64 = AtomicU64::new(0);
     let base = opts.pages_dir.as_ref()?;
     let dir = base.join(format!(
@@ -427,14 +428,21 @@ fn solve_paged_fresh(problem: &DpProblem, opts: &SolverOptions) -> Option<Cached
         budget: opts.pages_budget,
         spill_dir: Some(scratch.path().to_path_buf()),
     })
-    .and_then(|store| problem.solve_paged_overlapped(dim_limit, Arc::new(store)));
+    .and_then(|store| {
+        let store = Arc::new(store);
+        let sol = problem.solve_paged_overlapped(dim_limit, Arc::clone(&store))?;
+        Ok((sol, store.stats()))
+    });
     drop(scratch);
-    let sol = result.ok()?;
+    let (sol, stats) = result.ok()?;
     let configs = problem.extract_configs(&sol.values).map(Arc::new);
-    Some(CachedDp {
-        opt: sol.opt,
-        configs,
-    })
+    Some((
+        CachedDp {
+            opt: sol.opt,
+            configs,
+        },
+        stats,
+    ))
 }
 
 /// Probes target `t` through the cache (RAM, then the optional warm
@@ -482,8 +490,7 @@ fn probe_cached(
             }
             None => {
                 *misses += 1;
-                let (entry, ran) = run_planned(&problem, planned, opts)?;
-                repr.bump(ran);
+                let entry = run_planned(&problem, planned, opts, repr)?;
                 if let Some(w) = warm {
                     w.put(&key, &entry);
                 }

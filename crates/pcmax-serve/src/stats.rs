@@ -90,8 +90,8 @@ pub struct RequestStats {
 /// lets the coordinator deprioritise workers whose caches are
 /// thrashing against their byte budget, and the warm fields describe
 /// the worker's warm log so warmsync can pick rehydration donors and
-/// skip digest round trips when nothing changed (old workers omit
-/// them; the parse defaults both to zero).
+/// skip digest round trips when nothing changed. The reply carries all
+/// six fields, and the parse rejects a reply missing any of them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct HealthReply {
     /// Microseconds since the service started.
@@ -188,8 +188,8 @@ pub struct StoreReport {
     pub replica_evictions: u64,
     /// Disk-read latency per warm hit, in µs.
     pub fault_us: HistogramSnapshot,
-    /// Compute-path page faults taken by paged-engine probes (stalls the
-    /// overlapped sweep exists to remove).
+    /// Compute-path page faults taken by this service's paged-engine
+    /// probes (stalls the overlapped sweep exists to remove).
     pub paged_faults: u64,
     /// Prefetch disk reads issued off the compute path.
     pub prefetch_issued: u64,
@@ -199,9 +199,6 @@ pub struct StoreReport {
     /// Spill files pre-written by the write-behind stream while the page
     /// stayed resident.
     pub writebehind_writes: u64,
-    /// Wall-clock of the overlapped sweep's background stream per block
-    /// level, in µs (empty unless `pcmax_obs` recording was enabled).
-    pub overlap_us: HistogramSnapshot,
 }
 
 impl StoreReport {
@@ -431,7 +428,6 @@ impl ServiceReport {
             .field_u64("cold_misses_avoided", self.store.cold_misses_avoided)
             .field_u64("replica_bytes", self.store.replica_bytes)
             .field_u64("replica_evictions", self.store.replica_evictions)
-            .field_f64("ram_hit_rate", self.cache.hit_rate())
             .field_f64(
                 "disk_hit_rate",
                 self.store.disk_hit_rate(self.cache.misses),
@@ -443,8 +439,6 @@ impl ServiceReport {
             .field_f64("prefetch_hit_rate", self.store.prefetch_hit_rate())
             .key("fault_us");
         self.store.fault_us.write_json(&mut w);
-        w.key("overlap_us");
-        self.store.overlap_us.write_json(&mut w);
         w.end_object().key("histograms");
         self.histograms.write_json(&mut w);
         w.end_object();
@@ -525,7 +519,6 @@ mod tests {
                 prefetch_issued: 6,
                 prefetch_hits: 4,
                 writebehind_writes: 5,
-                overlap_us: HistogramSnapshot::default(),
             },
             histograms: metrics.snapshot(),
         };
@@ -556,14 +549,12 @@ mod tests {
         assert!(json.contains("\"cold_misses_avoided\":1"), "{json}");
         assert!(json.contains("\"replica_bytes\":256"), "{json}");
         assert!(json.contains("\"replica_evictions\":1"), "{json}");
-        assert!(json.contains("\"ram_hit_rate\":0.75"), "{json}");
         assert!(json.contains("\"disk_hit_rate\":1"), "{json}");
         assert!(json.contains("\"paged_faults\":4"), "{json}");
         assert!(json.contains("\"prefetch_issued\":6"), "{json}");
         assert!(json.contains("\"prefetch_hits\":4"), "{json}");
         assert!(json.contains("\"writebehind_writes\":5"), "{json}");
         assert!(json.contains("\"prefetch_hit_rate\":0.5"), "{json}");
-        assert!(json.contains("\"overlap_us\":{\"count\":0"), "{json}");
         assert!(json.contains("\"fault_us\":{\"count\":0"), "{json}");
         assert!(json.contains("\"queue_wait_us\":{\"count\":1"), "{json}");
         assert!(json.contains("\"solve_us\":{\"count\":1"), "{json}");
@@ -596,7 +587,6 @@ mod tests {
         assert_eq!(report.store.prefetch_hit_rate(), 0.0);
         let json = report.to_json();
         assert!(json.contains("\"hit_rate\":0"), "{json}");
-        assert!(json.contains("\"ram_hit_rate\":0"), "{json}");
         assert!(json.contains("\"disk_hit_rate\":0"), "{json}");
         assert!(json.contains("\"prefetch_hit_rate\":0"), "{json}");
         assert!(!json.contains("null"), "rate field decayed to null: {json}");

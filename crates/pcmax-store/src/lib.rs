@@ -34,15 +34,13 @@
 //!   the log compacts itself (generation rewrite + atomic manifest
 //!   rename) when dead bytes outweigh live ones.
 //!
-//! Observability: every store bumps the `store.faults` / `store.demotions`
-//! / `store.prefetch_issued` / `store.prefetch_hits` /
-//! `store.writebehind_writes` / `store.rehydrated` /
-//! `store.compactions` counters on the
-//! global [`pcmax_obs`] registry unconditionally, and records
-//! compute-path fault latency into `store.page_fault_us` (and
-//! off-path prefetch reads into `store.prefetch_us`) while recording is
-//! enabled. Each store additionally keeps local atomic counters so
-//! concurrent stores (and tests) can be told apart.
+//! Observability: each store owns its counters. [`TieredStore::stats`]
+//! reports faults, demotions, prefetches and write-behind writes, and
+//! [`TieredStore::fault_latency`] / [`TieredStore::prefetch_latency`]
+//! hold the compute-path fault and off-path prefetch latencies (sampled
+//! while [`pcmax_obs`] recording is enabled). [`WarmLog`] counts its own
+//! rehydrated entries and compactions. Nothing is copied into a
+//! process-global registry, so two stores in one process never mix.
 
 pub mod page;
 pub mod scratch;

@@ -3,7 +3,7 @@
 use crate::page::Page;
 use crate::tier::{DiskTier, PageStore, RamTier};
 use crate::{StoreConfig, StoreError};
-use pcmax_obs::{Counter, Histogram};
+use pcmax_obs::Histogram;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -57,13 +57,6 @@ pub struct TieredStore {
     writebehind_writes: AtomicU64,
     fault_us: Histogram,
     prefetch_us: Histogram,
-    g_faults: Arc<Counter>,
-    g_demotions: Arc<Counter>,
-    g_prefetch_issued: Arc<Counter>,
-    g_prefetch_hits: Arc<Counter>,
-    g_writebehind: Arc<Counter>,
-    g_fault_us: Arc<Histogram>,
-    g_prefetch_us: Arc<Histogram>,
 }
 
 /// Capacity of the prefetch staging ring, in pages. Mirrors the
@@ -140,7 +133,6 @@ impl TieredStore {
             Some(dir) => Some(DiskTier::open(dir)?),
             None => None,
         };
-        let registry = pcmax_obs::registry::global();
         Ok(Self {
             inner: Mutex::new(Inner {
                 ram: RamTier::new(),
@@ -160,13 +152,6 @@ impl TieredStore {
             writebehind_writes: AtomicU64::new(0),
             fault_us: Histogram::new(),
             prefetch_us: Histogram::new(),
-            g_faults: registry.counter("store.faults"),
-            g_demotions: registry.counter("store.demotions"),
-            g_prefetch_issued: registry.counter("store.prefetch_issued"),
-            g_prefetch_hits: registry.counter("store.prefetch_hits"),
-            g_writebehind: registry.counter("store.writebehind_writes"),
-            g_fault_us: registry.histogram("store.page_fault_us"),
-            g_prefetch_us: registry.histogram("store.prefetch_us"),
         })
     }
 
@@ -222,7 +207,6 @@ impl TieredStore {
         if let Some(pos) = inner.staged.iter().position(|(pid, _)| *pid == id) {
             let (_, page) = inner.staged.remove(pos).expect("position is in bounds");
             self.prefetch_hits.fetch_add(1, Ordering::Relaxed);
-            self.g_prefetch_hits.add(1);
             self.install(&mut inner, id, Arc::clone(&page))?;
             return Ok(Some(page));
         }
@@ -236,11 +220,8 @@ impl TieredStore {
             return Ok(None);
         };
         self.faults.fetch_add(1, Ordering::Relaxed);
-        self.g_faults.add(1);
         if timer.is_recording() {
-            let us = timer.elapsed_us();
-            self.fault_us.record(us);
-            self.g_fault_us.record(us);
+            self.fault_us.record(timer.elapsed_us());
         }
         // Promote. The caller's Arc survives even if the budget demotes
         // this very page straight back out.
@@ -280,12 +261,9 @@ impl TieredStore {
         let bytes = std::fs::read(&path).map_err(|e| StoreError::io(&path, e))?;
         let page = Arc::new(crate::page::decode_page_packed(&bytes)?);
         if timer.is_recording() {
-            let us = timer.elapsed_us();
-            self.prefetch_us.record(us);
-            self.g_prefetch_us.record(us);
+            self.prefetch_us.record(timer.elapsed_us());
         }
         self.prefetch_issued.fetch_add(1, Ordering::Relaxed);
-        self.g_prefetch_issued.add(1);
         let mut inner = self.inner.lock().expect("store lock");
         // Re-check under the lock: a compute fault may have promoted
         // the page (or a racing prefetch staged it) meanwhile — the
@@ -347,7 +325,6 @@ impl TieredStore {
         }
         disk.record_written(id, bytes.len() as u64);
         self.writebehind_writes.fetch_add(1, Ordering::Relaxed);
-        self.g_writebehind.add(1);
         Ok(true)
     }
 
@@ -405,7 +382,6 @@ impl TieredStore {
             inner.ram.remove(id)?;
             inner.referenced.remove(&id);
             self.demotions.fetch_add(1, Ordering::Relaxed);
-            self.g_demotions.add(1);
             spared = 0;
         }
         Ok(())

@@ -102,7 +102,7 @@ fn record_checksum(seq: u64, key: &[u8], value: &[u8]) -> u64 {
 impl WarmLog {
     /// Opens (creating if needed) a warm-log directory, validates the
     /// manifest, and re-indexes the append log. The number of records
-    /// recovered is reported as `store.rehydrated`.
+    /// recovered is reported by [`Self::rehydrated`].
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self, StoreError> {
         let dir = dir.into();
         fs::create_dir_all(&dir).map_err(|e| StoreError::io(&dir, e))?;
@@ -146,9 +146,6 @@ impl WarmLog {
                 .map_err(|e| StoreError::io(&log_path, e))?;
         }
         let rehydrated = scanned.index.len() as u64;
-        pcmax_obs::registry::global()
-            .counter("store.rehydrated")
-            .add(rehydrated);
         Ok(Self {
             dir,
             inner: Mutex::new(WarmInner {
@@ -499,9 +496,6 @@ impl WarmLog {
         inner.total_bytes = at;
         inner.live_bytes = at;
         self.compactions.fetch_add(1, Ordering::Relaxed);
-        pcmax_obs::registry::global()
-            .counter("store.compactions")
-            .add(1);
         Ok(())
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use pcmax::heuristics::{list_schedule, local_search, lpt, multifit};
+use pcmax::heuristics::{list_schedule, lpt, multifit};
 use pcmax::prelude::*;
 
 fn main() {
@@ -41,9 +41,13 @@ fn main() {
         makespan as f64 / lb as f64
     );
 
-    // A move/swap local search polishes whatever the PTAS left on the
-    // critical machine (it never worsens a schedule).
-    let polished = local_search(&inst, &result.schedule, 100_000);
+    // The improver's move/swap descent polishes whatever the PTAS left on
+    // the critical machine (it never worsens a schedule); 100,000 rounds
+    // under a deadline that does not bind run it to its fixpoint.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(3600);
+    let mut stats = pcmax::ImproveStats::default();
+    let polished =
+        pcmax::improve::descent::descend(&inst, &result.schedule, deadline, 100_000, &mut stats);
     println!(
         "PTAS + local    : makespan {}",
         polished.validate(&inst).expect("valid schedule")

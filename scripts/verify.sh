@@ -13,6 +13,11 @@ cargo test --workspace -q
 # Lints over every target (tests, benches, examples included): any
 # warning fails the gate.
 cargo clippy --workspace --all-targets -q -- -D warnings
+# The benchmark package (solvebench/, outside the workspace) must still
+# build and pass its tests against the current crates without rewriting
+# its lockfile: this fails if a public API it calls changes or if
+# solvebench/Cargo.lock would change.
+cargo test --release --offline --locked -q --manifest-path solvebench/Cargo.toml
 
 # Cluster smoke: a tiny sharded-serving workload through the real
 # coordinator + loopback workers, with a mid-load kill to exercise
@@ -186,8 +191,7 @@ grep -q '"portfolio"' target/BENCH_serve_smoke.json
 # Improver gauntlet: the same 64 seeds filtered to the anytime-improver
 # checks — greedy descent and the island GA must never worsen a piled
 # input, stay valid and above LB/OPT, keep the a-posteriori guarantee
-# in u128, rerun deterministically under a fixed seed, and agree
-# bit-for-bit across the rayon and warp-model fitness paths.
+# in u128, and rerun deterministically under a fixed seed.
 ./target/release/pcmax audit --seeds 64 --engine improve \
   --out target/AUDIT_improve.json
 test -s target/AUDIT_improve.json

@@ -12,7 +12,7 @@
 
 use pcmax::cluster::{serve_cluster_tcp, LocalCluster};
 use pcmax::gpu::{modeled_openmp_bisection, solve_gpu, GpuPtasConfig};
-use pcmax::heuristics::{list_schedule, local_search, lpt, multifit};
+use pcmax::heuristics::{list_schedule, lpt, multifit};
 use pcmax::prelude::*;
 use pcmax::serve::{serve_tcp, Client};
 use pcmax::{ClusterConfig, Guarantee};
@@ -77,7 +77,7 @@ USAGE:
                       [--portfolio auto|fixed:ARM]
                       [--improve off|greedy|ga[:I,P]] [--improve-budget-us N]
   pcmax improve FILE|- [--improve greedy|ga[:I,P]] [--improve-budget-us N]
-                      [--seed N] [--eval rayon|warp]
+                      [--seed N]
   pcmax bench-serve   [--clients N] [--requests N] [--distinct N]
                       [--jobs N] [--machines N] [--epsilon F] [--deadline-ms N]
                       [--repr auto|dense|sparse] [--mem-budget BYTES]
@@ -172,11 +172,9 @@ the improver off and exits non-zero unless the improved mean gap beats
 the unimproved one. `pcmax improve` runs the same pipeline once on an
 instance file (`-` reads stdin), seeding from the better of
 LPT-revisited and MULTIFIT, and prints a JSON report with the final
-assignment; `--eval warp` mirrors fitness evaluation on the gpu-sim
-warp model (bit-for-bit identical answers, modeled kernel timings on
-the obs registry). `--engine improve` on `audit` restricts the sweep to
-the improver gauntlet (monotonicity, validity, a-posteriori guarantee,
-fixed-seed determinism, rayon/warp-model agreement). `--engine warmsync`
+assignment. `--engine improve` on `audit` restricts the sweep to the
+improver gauntlet (monotonicity, validity, a-posteriori guarantee,
+fixed-seed determinism). `--engine warmsync`
 restricts it to the warm-replication gauntlet: shipped entries survive
 the wire round-trip byte-identically (checksum re-verified), a replica
 applying them holds the owner's exact bytes, and the ranged pulls planned
@@ -381,16 +379,24 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
     report("list", list_schedule(&inst).makespan(&inst));
     let lpt_s = lpt(&inst);
     report("LPT", lpt_s.makespan(&inst));
-    report("LPT+local", local_search(&inst, &lpt_s, 100_000).makespan(&inst));
+    report("LPT+local", polish(&inst, &lpt_s).makespan(&inst));
     report("MULTIFIT", multifit(&inst, 10).makespan(&inst));
     for eps in [0.5, 0.3, 0.2] {
         let res = Ptas::new(eps).solve(&inst);
         res.schedule.validate(&inst)?;
         report(&format!("PTAS eps={eps}"), res.makespan);
-        let polished = local_search(&inst, &res.schedule, 100_000);
+        let polished = polish(&inst, &res.schedule);
         report(&format!("PTAS eps={eps}+LS"), polished.makespan(&inst));
     }
     Ok(())
+}
+
+/// The improver's move/swap descent run to its fixpoint: 100,000 rounds
+/// under a deadline that does not bind.
+fn polish(inst: &Instance, schedule: &Schedule) -> Schedule {
+    let deadline = Instant::now() + Duration::from_secs(3600);
+    let mut stats = pcmax::ImproveStats::default();
+    pcmax::improve::descent::descend(inst, schedule, deadline, 100_000, &mut stats)
 }
 
 fn cmd_simulate(args: &[String]) -> Result<(), String> {
@@ -553,10 +559,6 @@ fn cmd_improve(args: &[String]) -> Result<(), String> {
             defaults.budget.as_micros() as u64,
         )?),
         seed: flag_parse(args, "--seed", defaults.seed)?,
-        eval: flag(args, "--eval")
-            .map(str::parse::<pcmax::EvalPath>)
-            .transpose()?
-            .unwrap_or(defaults.eval),
         ..defaults
     };
     let (seed_schedule, engine, _) = pcmax::serve::heuristic_best(&inst);
@@ -642,7 +644,7 @@ fn cmd_cluster(args: &[String]) -> Result<(), String> {
     if nodes == 0 {
         return Err("--workers must be positive".into());
     }
-    // The aggregated `stats` verb wants real histograms and timelines.
+    // The aggregated `stats` verb wants real histograms.
     pcmax::obs::set_enabled(true);
     let cluster = LocalCluster::start(nodes, cluster_serve_config(args)?, cluster_config_from_flags(args)?)
         .map_err(|e| format!("starting workers: {e}"))?;

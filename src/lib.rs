@@ -40,10 +40,10 @@
 //! | [`pcmax_gpu`] | the paper's GPU algorithm (Algorithms 3–5) on the simulator |
 //! | [`pcmax_store`] | paged table memory: tiered RAM/disk page store, byte budgets, warm-start log |
 //! | [`pcmax_sparse`] | sparsified configuration DP: reachable-cell frontier, dominance pruning, representation predictor |
-//! | [`pcmax_improve`] | anytime schedule improvement: move/swap descent, island GA, warp-model fitness mirror |
+//! | [`pcmax_improve`] | anytime schedule improvement: move/swap descent, island GA with rayon-batched fitness |
 //! | [`pcmax_serve`] | the solver service: batching, DP memo cache, deadlines, TCP front-end |
 //! | [`pcmax_cluster`] | sharded multi-worker serving: cache-affinity routing, health checks, failover |
-//! | [`pcmax_obs`] | observability: spans, counters, log₂ histograms, timelines, JSON export |
+//! | [`pcmax_obs`] | observability: spans, counters, log₂ histograms, JSON export |
 //! | [`pcmax_audit`] | adversarial differential-fuzz harness over engines, searches, and oracles |
 
 pub use pcmax_core::{self as core, lower_bound, upper_bound, Instance, InstanceError, Schedule};
@@ -63,7 +63,7 @@ pub use pcmax_sparse::{
 };
 pub use pcmax_gpu::{self as gpu, GpuPtasConfig, TableAnalysis};
 pub use pcmax_improve::{
-    self as improve, EvalPath, ImproveConfig, ImproveMode, ImproveOutcome, ImproveStats,
+    self as improve, ImproveConfig, ImproveMode, ImproveOutcome, ImproveStats,
 };
 pub use pcmax_obs::{self as obs};
 pub use pcmax_serve::{
