@@ -917,9 +917,9 @@ pub fn check_portfolio(inst: &Instance, ctx: &mut CheckCtx<'_>) {
     }
 }
 
-/// The anytime improver's gauntlet: greedy descent and the island GA,
-/// each starting from a deliberately piled (but valid) schedule of the
-/// adversarial case. For each mode:
+/// The anytime improver's gauntlet: the move/swap descent, starting
+/// from a deliberately piled (but valid) schedule of the adversarial
+/// case:
 ///
 /// * the improved schedule validates and its recomputed makespan equals
 ///   the reported `ImproveOutcome::makespan`,
@@ -927,11 +927,11 @@ pub fn check_portfolio(inst: &Instance, ctx: &mut CheckCtx<'_>) {
 /// * never below `LB` (and never below exact `OPT` on small instances),
 /// * the a-posteriori guarantee the serve layer would attach to the
 ///   improved answer holds in `u128`,
-/// * a fixed seed reruns to the identical schedule (the config's caps
-///   bind before the generous deadline, so the outcome is host-speed
+/// * the same input reruns to the identical schedule (the round cap
+///   binds before the generous deadline, so the outcome is host-speed
 ///   independent).
 pub fn check_improver(inst: &Instance, ctx: &mut CheckCtx<'_>) {
-    use pcmax_improve::{improve, ImproveConfig, ImproveMode};
+    use pcmax_improve::{improve, ImproveConfig};
     use std::time::Duration;
 
     let lb = bounds::lower_bound(inst);
@@ -941,81 +941,75 @@ pub fn check_improver(inst: &Instance, ctx: &mut CheckCtx<'_>) {
     // full pile cannot overflow one machine's load.
     let piled = pcmax_core::Schedule::new(vec![0; inst.num_jobs()], inst.machines());
     let input_ms = piled.makespan(inst);
-    // Generous budget, tiny caps: the caps bind, never the wall clock,
-    // which is what makes the fixed-seed rerun reproducible below.
-    let base = ImproveConfig {
+    // Generous budget, tiny cap: the cap binds, never the wall clock,
+    // which is what makes the rerun reproducible below.
+    let cfg = ImproveConfig {
         budget: Duration::from_secs(600),
         max_descent_rounds: 64,
-        max_generations: 4,
         ..ImproveConfig::default()
     };
-    for mode in [ImproveMode::Greedy, ImproveMode::Ga { islands: 2, pop: 8 }] {
-        ctx.bump();
-        let cfg = ImproveConfig { mode, ..base };
-        let out = match improve(inst, &piled, &cfg) {
-            Ok(out) => out,
-            Err(e) => {
-                ctx.diverge("improver-run", format!("{mode}: {e}"));
-                continue;
-            }
-        };
-        let ms = match out.schedule.validate(inst) {
-            Ok(ms) => ms,
-            Err(e) => {
-                ctx.diverge("improver-schedule", format!("{mode}: invalid schedule: {e}"));
-                continue;
-            }
-        };
-        if ms != out.makespan {
+    ctx.bump();
+    let out = match improve(inst, &piled, &cfg) {
+        Ok(out) => out,
+        Err(e) => {
+            ctx.diverge("improver-run", e);
+            return;
+        }
+    };
+    let ms = match out.schedule.validate(inst) {
+        Ok(ms) => ms,
+        Err(e) => {
+            ctx.diverge("improver-schedule", format!("invalid schedule: {e}"));
+            return;
+        }
+    };
+    if ms != out.makespan {
+        ctx.diverge(
+            "improver-makespan",
+            format!("reported {} but schedule realises {ms}", out.makespan),
+        );
+    }
+    if ms > input_ms {
+        ctx.diverge(
+            "improver-monotone",
+            format!("worsened the input, {input_ms} → {ms}"),
+        );
+    }
+    if ms < lb {
+        ctx.diverge(
+            "improver-below-lb",
+            format!("makespan {ms} below lower bound {lb}"),
+        );
+    }
+    if let Some(opt) = oracle {
+        if ms < opt {
             ctx.diverge(
-                "improver-makespan",
-                format!("{mode}: reported {} but schedule realises {ms}", out.makespan),
+                "improver-beats-opt",
+                format!("makespan {ms} below optimum {opt}"),
             );
         }
-        if ms > input_ms {
-            ctx.diverge(
-                "improver-monotone",
-                format!("{mode}: worsened the input, {input_ms} → {ms}"),
-            );
-        }
-        if ms < lb {
-            ctx.diverge(
-                "improver-below-lb",
-                format!("{mode}: makespan {ms} below lower bound {lb}"),
-            );
-        }
-        if let Some(opt) = oracle {
-            if ms < opt {
-                ctx.diverge(
-                    "improver-beats-opt",
-                    format!("{mode}: makespan {ms} below optimum {opt}"),
-                );
-            }
-        }
-        // The bound serve attaches after an improver run. Against OPT
-        // when the oracle is available, against LB ≤ OPT always; both
-        // evaluate in u128 so u64-scale times cannot wrap the check.
-        let posterior = pcmax_core::Guarantee::a_posteriori(ms, lb);
-        if !posterior.holds(ms, oracle.unwrap_or(lb)) {
-            ctx.diverge(
-                "improver-guarantee",
-                format!("{mode}: a-posteriori bound {posterior} violated at ms={ms} lb={lb}"),
-            );
-        }
-        if let ImproveMode::Ga { .. } = mode {
-            ctx.bump();
-            match improve(inst, &piled, &cfg) {
-                Ok(rerun) if rerun.schedule == out.schedule => {}
-                Ok(rerun) => ctx.diverge(
-                    "improver-determinism",
-                    format!(
-                        "seed {:#x} reran to a different schedule ({} vs {})",
-                        cfg.seed, rerun.makespan, out.makespan
-                    ),
-                ),
-                Err(e) => ctx.diverge("improver-determinism", format!("rerun failed: {e}")),
-            }
-        }
+    }
+    // The bound serve attaches after an improver run. Against OPT
+    // when the oracle is available, against LB ≤ OPT always; both
+    // evaluate in u128 so u64-scale times cannot wrap the check.
+    let posterior = pcmax_core::Guarantee::a_posteriori(ms, lb);
+    if !posterior.holds(ms, oracle.unwrap_or(lb)) {
+        ctx.diverge(
+            "improver-guarantee",
+            format!("a-posteriori bound {posterior} violated at ms={ms} lb={lb}"),
+        );
+    }
+    ctx.bump();
+    match improve(inst, &piled, &cfg) {
+        Ok(rerun) if rerun.schedule == out.schedule => {}
+        Ok(rerun) => ctx.diverge(
+            "improver-determinism",
+            format!(
+                "the same input reran to a different schedule ({} vs {})",
+                rerun.makespan, out.makespan
+            ),
+        ),
+        Err(e) => ctx.diverge("improver-determinism", format!("rerun failed: {e}")),
     }
 }
 

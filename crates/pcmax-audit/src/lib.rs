@@ -29,9 +29,9 @@
 //!   PTAS arm also under each forced table representation) answers
 //!   validly, never beats the oracle, and its certified guarantee holds
 //!   in `u128`,
-//! * the anytime improver's gauntlet: greedy descent and the island GA
-//!   never worsen a piled input, stay valid and above `LB`/`OPT`, and
-//!   rerun deterministically under a fixed seed,
+//! * the anytime improver's gauntlet: the move/swap descent never
+//!   worsens a piled input, stays valid and above `LB`/`OPT`, and reruns
+//!   to the identical schedule,
 //! * the dual-approximation invariant `LB ≤ T* ≤ OPT` and the
 //!   `(1 + 1/k + 1/k²)` guarantee evaluated in `u128`,
 //! * the `Instance::try_new` validation gate itself.
@@ -66,7 +66,7 @@ pub struct AuditConfig {
     /// `Some("sparse")` runs only [`checks::check_sparse_engine`] per
     /// case; `Some("portfolio")` runs only [`checks::check_portfolio`]
     /// (every arm on every case); `Some("improve")` runs only
-    /// [`checks::check_improver`] (both improver modes on every case);
+    /// [`checks::check_improver`] (the descent and its rerun on every case);
     /// `Some("paged")` runs the paged-store contract plus the
     /// overlapped-sweep differential ([`checks::check_paged_store`] and
     /// [`checks::check_paged_overlap`]); `Some("warmsync")` runs only
@@ -231,8 +231,8 @@ mod tests {
             ..AuditConfig::default()
         });
         assert_eq!(filtered.cases, full.cases);
-        // Greedy (1) + GA (1 + determinism) per case.
-        assert_eq!(filtered.checks, filtered.cases * 3);
+        // The descent run plus its determinism rerun per case.
+        assert_eq!(filtered.checks, filtered.cases * 2);
         assert!(
             filtered.checks < full.checks,
             "filtered {} vs full {}",

@@ -26,7 +26,8 @@ pub fn non_uniform(seed: u64, n: usize, m: usize, lo: u64, hi: u64) -> Instance 
     assert!(lo > 0 && lo <= hi, "need 0 < lo <= hi");
     let mut rng = SmallRng::seed_from_u64(seed);
     let low_hi = (hi / 5).max(lo);
-    let high_lo = (hi * 9 / 10).max(lo);
+    // In u128 so a `hi` near `u64::MAX` cannot wrap.
+    let high_lo = ((hi as u128 * 9 / 10) as u64).max(lo);
     let times = (0..n)
         .map(|_| {
             if rng.gen_ratio(98, 100) {
@@ -39,9 +40,9 @@ pub fn non_uniform(seed: u64, n: usize, m: usize, lo: u64, hi: u64) -> Instance 
     Instance::new(times, m)
 }
 
-/// Bimodal mix of short and long jobs: each job is long (`[hi/2, hi]`)
-/// with probability `long_pct`%, otherwise short (`[lo, hi/10]`).
-/// Exercises the PTAS's short/long split.
+/// Bimodal mix of short and long jobs: each job is long (`[hi/2, hi]`,
+/// at least 1) with probability `long_pct`%, otherwise short
+/// (`[lo, hi/10]`). Exercises the PTAS's short/long split.
 pub fn bimodal(seed: u64, n: usize, m: usize, lo: u64, hi: u64, long_pct: u32) -> Instance {
     assert!(lo > 0 && lo <= hi && long_pct <= 100);
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -49,7 +50,7 @@ pub fn bimodal(seed: u64, n: usize, m: usize, lo: u64, hi: u64, long_pct: u32) -
     let times = (0..n)
         .map(|_| {
             if rng.gen_ratio(long_pct, 100) {
-                rng.gen_range(hi / 2..=hi)
+                rng.gen_range((hi / 2).max(1)..=hi)
             } else {
                 rng.gen_range(lo..=short_hi)
             }
@@ -104,6 +105,16 @@ mod tests {
         let short = inst.times().iter().filter(|&&t| t <= 100).count();
         assert_eq!(long + short, 2000, "no mid-range jobs");
         assert!((800..1200).contains(&long));
+    }
+
+    #[test]
+    fn range_edges_draw_positive_times() {
+        // hi = 1 makes the long band [0, 1] before clamping.
+        let inst = bimodal(1, 200, 2, 1, 1, 50);
+        assert!(inst.times().iter().all(|&t| t == 1));
+        // 9·hi overflows u64 unless widened.
+        let inst = non_uniform(2, 1, 1, 1, u64::MAX);
+        assert!(inst.time(0) > 0);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Phase 1: deterministic move/swap neighborhood descent.
+//! The improver: deterministic move/swap neighborhood descent.
 //!
 //! The neighborhood relieves a most-loaded (critical) machine two ways:
 //! *move* one of its jobs to a machine that stays below the makespan, or

@@ -6,26 +6,16 @@
 //! this crate spends whatever request budget is left *after* the solve
 //! refining it. The refiner is strictly monotone — it never returns a
 //! schedule worse than its input — and deadline-disciplined: it checks
-//! the clock between atomic units of work (one descent round, one GA
-//! evaluation batch), so it overruns its budget by at most one such
-//! unit.
+//! the clock between descent rounds, so it overruns its budget by at
+//! most one round.
 //!
-//! Two phases, selected by [`ImproveMode`]:
-//!
-//! 1. **Greedy descent** ([`ImproveMode::Greedy`]): deterministic
-//!    move/swap neighborhood search that relieves a most-loaded machine
-//!    by moving one of its jobs to a less-loaded machine or swapping it
-//!    against a shorter job elsewhere, accepting lexicographically on
-//!    `(makespan, #machines at makespan)` so plateaus where several
-//!    machines tie at the maximum still drain.
-//! 2. **Island GA** ([`ImproveMode::Ga`]): the descent result seeds a
-//!    population split across islands. Each generation every island's
-//!    offspring are concatenated into one batch whose makespan fitness
-//!    is evaluated across the rayon pool ([`evaluate_batch`]). Migration
-//!    is a deterministic ring (island *i*'s best replaces island *i+1*'s
-//!    worst every [`ga::MIGRATION_INTERVAL`] generations), and all
-//!    randomness flows from one splitmix-seeded [`rand::rngs::SmallRng`],
-//!    so a fixed [`ImproveConfig::seed`] reproduces the run exactly.
+//! The improver is one phase, the deterministic move/swap descent of
+//! [`descent::descend`]: it relieves a most-loaded machine by moving one
+//! of its jobs to a less-loaded machine or swapping it against a shorter
+//! job elsewhere, accepting lexicographically on `(makespan, #machines
+//! at makespan)` so plateaus where several machines tie at the maximum
+//! still drain. There is no randomness, so the same input always gives
+//! the same schedule.
 //!
 //! Boundary discipline: [`improve`] validates its input schedule on
 //! entry ([`Schedule::validate`]) and recomputes the output makespan
@@ -38,57 +28,26 @@ use pcmax_core::schedule::Schedule;
 use std::time::{Duration, Instant};
 
 pub mod descent;
-pub mod fitness;
-pub mod ga;
 
-pub use fitness::evaluate_batch;
-
-/// Which improvement pipeline to run.
+/// Whether to run the improver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ImproveMode {
     /// Return the input untouched (the improver is a no-op).
     Off,
-    /// Deterministic move/swap descent only.
+    /// Deterministic move/swap descent.
     Greedy,
-    /// Descent, then a seeded island GA on the descent result.
-    Ga {
-        /// Number of islands (≥ 1).
-        islands: usize,
-        /// Population per island (≥ 2).
-        pop: usize,
-    },
-}
-
-impl ImproveMode {
-    /// Default GA shape when `ga` is requested without parameters.
-    pub const DEFAULT_GA: ImproveMode = ImproveMode::Ga { islands: 4, pop: 16 };
 }
 
 impl std::str::FromStr for ImproveMode {
     type Err = String;
 
-    /// Parses `off`, `greedy`, `ga`, or `ga:ISLANDS,POP`.
+    /// Parses `off` or `greedy`.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
-            "off" => return Ok(ImproveMode::Off),
-            "greedy" => return Ok(ImproveMode::Greedy),
-            "ga" => return Ok(ImproveMode::DEFAULT_GA),
-            _ => {}
+            "off" => Ok(ImproveMode::Off),
+            "greedy" => Ok(ImproveMode::Greedy),
+            _ => Err(format!("unknown improve mode {s:?} (off|greedy)")),
         }
-        if let Some(rest) = s.strip_prefix("ga:") {
-            let (islands, pop) = rest
-                .split_once(',')
-                .ok_or_else(|| format!("expected ga:ISLANDS,POP, got {s:?}"))?;
-            let islands: usize = islands
-                .parse()
-                .map_err(|_| format!("bad island count in {s:?}"))?;
-            let pop: usize = pop.parse().map_err(|_| format!("bad population in {s:?}"))?;
-            if islands == 0 || pop < 2 {
-                return Err(format!("need ≥1 island and population ≥2, got {s:?}"));
-            }
-            return Ok(ImproveMode::Ga { islands, pop });
-        }
-        Err(format!("unknown improve mode {s:?} (off|greedy|ga[:I,P])"))
     }
 }
 
@@ -97,7 +56,6 @@ impl std::fmt::Display for ImproveMode {
         match self {
             ImproveMode::Off => write!(f, "off"),
             ImproveMode::Greedy => write!(f, "greedy"),
-            ImproveMode::Ga { islands, pop } => write!(f, "ga:{islands},{pop}"),
         }
     }
 }
@@ -105,19 +63,14 @@ impl std::fmt::Display for ImproveMode {
 /// Configuration for one [`improve`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ImproveConfig {
-    /// Pipeline selection.
+    /// Whether the descent runs.
     pub mode: ImproveMode,
     /// Wall-clock budget; the improver overruns it by at most one
-    /// descent round or one GA evaluation batch.
+    /// descent round.
     pub budget: Duration,
-    /// Seed for every random decision (GA only); fixed seed → identical
-    /// output schedule.
-    pub seed: u64,
     /// Hard cap on descent rounds, binding when the budget is generous —
     /// it makes short runs reproducible independent of host speed.
     pub max_descent_rounds: usize,
-    /// Hard cap on GA generations, same role as `max_descent_rounds`.
-    pub max_generations: usize,
 }
 
 impl Default for ImproveConfig {
@@ -125,9 +78,7 @@ impl Default for ImproveConfig {
         Self {
             mode: ImproveMode::Greedy,
             budget: Duration::from_millis(2),
-            seed: 0x1d0_c0ffee,
             max_descent_rounds: 100_000,
-            max_generations: 64,
         }
     }
 }
@@ -140,10 +91,6 @@ pub struct ImproveStats {
     pub rounds: u64,
     /// Descent moves/swaps actually applied.
     pub accepted_moves: u64,
-    /// GA generations evaluated.
-    pub generations: u64,
-    /// Chromosomes whose fitness was computed (all paths).
-    pub evaluations: u64,
     /// Makespan of the validated input schedule.
     pub initial_makespan: u64,
     /// Recomputed makespan of the returned schedule.
@@ -191,22 +138,12 @@ pub fn improve(
             cfg.max_descent_rounds,
             &mut stats,
         ),
-        ImproveMode::Ga { islands, pop } => {
-            let seeded = descent::descend(
-                inst,
-                input,
-                deadline,
-                cfg.max_descent_rounds,
-                &mut stats,
-            );
-            ga::run(inst, &seeded, cfg, islands, pop, deadline, &mut stats)
-        }
     };
 
     // Boundary check on the way out: the reported makespan is recomputed
     // from the assignment, and monotonicity is enforced structurally —
-    // if refinement somehow regressed (it cannot: both phases track
-    // best-so-far), the input wins.
+    // if refinement somehow regressed (it cannot: every accepted step
+    // lowers the rank), the input wins.
     let makespan = schedule.recompute_makespan(inst);
     let (schedule, makespan) = if makespan <= initial_makespan {
         (schedule, makespan)
@@ -226,7 +163,6 @@ pub fn improve(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcmax_core::heuristics::lpt;
 
     fn inst() -> Instance {
         Instance::new(vec![9, 7, 6, 5, 4, 4, 3, 2, 2], 3)
@@ -241,16 +177,11 @@ mod tests {
     fn mode_parses_and_displays() {
         assert_eq!("off".parse::<ImproveMode>().unwrap(), ImproveMode::Off);
         assert_eq!("greedy".parse::<ImproveMode>().unwrap(), ImproveMode::Greedy);
-        assert_eq!("ga".parse::<ImproveMode>().unwrap(), ImproveMode::DEFAULT_GA);
-        assert_eq!(
-            "ga:2,8".parse::<ImproveMode>().unwrap(),
-            ImproveMode::Ga { islands: 2, pop: 8 }
-        );
-        assert_eq!(ImproveMode::Ga { islands: 2, pop: 8 }.to_string(), "ga:2,8");
-        assert!("ga:0,8".parse::<ImproveMode>().is_err());
-        assert!("ga:2,1".parse::<ImproveMode>().is_err());
-        assert!("anneal".parse::<ImproveMode>().is_err());
-        for m in [ImproveMode::Off, ImproveMode::Greedy, ImproveMode::DEFAULT_GA] {
+        for bad in ["ga", "ga:2,8", "anneal"] {
+            let err = bad.parse::<ImproveMode>().unwrap_err();
+            assert!(err.contains("(off|greedy)"), "{err}");
+        }
+        for m in [ImproveMode::Off, ImproveMode::Greedy] {
             assert_eq!(m.to_string().parse::<ImproveMode>().unwrap(), m);
         }
     }
@@ -293,35 +224,11 @@ mod tests {
         let s = piled(&inst);
         let cfg = ImproveConfig {
             budget: Duration::ZERO,
-            mode: ImproveMode::DEFAULT_GA,
             ..ImproveConfig::default()
         };
         let out = improve(&inst, &s, &cfg).unwrap();
         assert!(out.makespan <= s.makespan(&inst));
         assert_eq!(out.schedule.validate(&inst).unwrap(), out.makespan);
-    }
-
-    #[test]
-    fn ga_never_worse_than_lpt_input_and_is_deterministic() {
-        let inst = Instance::new(
-            vec![23, 19, 17, 17, 13, 11, 11, 7, 7, 5, 5, 3, 3, 2, 2, 1],
-            4,
-        );
-        let s = lpt(&inst);
-        let cfg = ImproveConfig {
-            mode: ImproveMode::Ga { islands: 2, pop: 8 },
-            budget: Duration::from_secs(60),
-            max_generations: 12,
-            max_descent_rounds: 100,
-            ..ImproveConfig::default()
-        };
-        let a = improve(&inst, &s, &cfg).unwrap();
-        let b = improve(&inst, &s, &cfg).unwrap();
-        assert!(a.makespan <= s.makespan(&inst));
-        assert_eq!(a.schedule, b.schedule, "fixed seed must reproduce");
-        assert_eq!(a.makespan, b.makespan);
-        assert!(a.stats.generations > 0);
-        assert!(a.stats.evaluations > 0);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Property tests for the improver, matching its two invariants:
-//! the move/swap neighborhood never increases the makespan and always
+//! the move/swap descent never increases the makespan and always
 //! conserves load (every job assigned exactly once, total work
-//! unchanged), and the full pipeline — descent and GA — is monotone,
-//! valid at the boundary, and deterministic under a fixed seed.
+//! unchanged), and it is deterministic: the same input reruns to the
+//! identical schedule.
 
 use pcmax_core::instance::Instance;
 use pcmax_core::schedule::Schedule;
@@ -24,13 +24,11 @@ fn instance_and_schedule() -> impl Strategy<Value = (Vec<u64>, usize, Vec<usize>
 
 /// A config whose caps (not wall clock) bound the run, so results are
 /// host-speed independent.
-fn capped(mode: ImproveMode, seed: u64) -> ImproveConfig {
+fn capped() -> ImproveConfig {
     ImproveConfig {
-        mode,
+        mode: ImproveMode::Greedy,
         budget: Duration::from_secs(600),
-        seed,
         max_descent_rounds: 200,
-        max_generations: 6,
     }
 }
 
@@ -43,7 +41,7 @@ proptest! {
     ) {
         let inst = Instance::new(times, m);
         let input = Schedule::new(start, m);
-        let cfg = capped(ImproveMode::Greedy, 1);
+        let cfg = capped();
         let out = improve(&inst, &input, &cfg).unwrap();
 
         // Monotone: never worse than the input.
@@ -60,23 +58,17 @@ proptest! {
     }
 
     #[test]
-    fn ga_is_monotone_valid_and_seed_deterministic(
+    fn descent_reruns_to_the_identical_schedule(
         (times, m, start) in instance_and_schedule(),
-        seed in 0u64..1000,
     ) {
         let inst = Instance::new(times, m);
         let input = Schedule::new(start, m);
-        let mode = ImproveMode::Ga { islands: 2, pop: 6 };
-        let cfg = capped(mode, seed);
+        let cfg = capped();
         let out = improve(&inst, &input, &cfg).unwrap();
-
-        prop_assert!(out.makespan <= input.makespan(&inst));
-        prop_assert_eq!(out.schedule.validate(&inst).unwrap(), out.makespan);
-        prop_assert!(out.makespan >= pcmax_core::lower_bound(&inst));
-
-        // Same seed, same answer — including the assignment itself.
         let again = improve(&inst, &input, &cfg).unwrap();
         prop_assert_eq!(out.schedule, again.schedule);
         prop_assert_eq!(out.makespan, again.makespan);
+        prop_assert_eq!(out.stats.rounds, again.stats.rounds);
+        prop_assert_eq!(out.stats.accepted_moves, again.stats.accepted_moves);
     }
 }

@@ -14,10 +14,9 @@
 //! * [`span::SpanNode`] — hierarchical span trees for `pcmax trace`.
 //!
 //! Each quantity has one owner: the per-instance report that counts it
-//! (`ServiceReport`, `ClusterReport`, `SimReport`, `DpStats`, …). The
-//! process-global [`registry`] cannot tell two services in one process
-//! apart, so it holds only the sparse engine's `sparse.*` metrics, which
-//! `pcmax bench-serve` reads.
+//! (`ServiceReport`, `ClusterReport`, `SimReport`, `DpStats`,
+//! `SparseStats`, …). There is no process-global registry: a process can
+//! host several services, and a global copy could not tell them apart.
 //!
 //! Everything renders to JSON through the hand-rolled writer in [`json`]
 //! (the workspace's serde is an offline no-op shim, so wire formats are
@@ -35,7 +34,6 @@
 pub mod counter;
 pub mod hist;
 pub mod json;
-pub mod registry;
 pub mod span;
 
 pub use counter::Counter;

@@ -76,8 +76,8 @@ pub struct ServeConfig {
     /// How the per-request solver arm is picked: feature-driven
     /// [`PortfolioPolicy::Auto`] (the default) or one pinned arm.
     pub portfolio: PortfolioPolicy,
-    /// Anytime improver applied after the solve: off (default), greedy
-    /// move/swap descent, or descent + island GA. The improver spends
+    /// Anytime improver applied after the solve: off (default) or greedy
+    /// move/swap descent. The improver spends
     /// the *remaining* request deadline (capped by `improve_budget`)
     /// and never returns a worse schedule than the arm's answer.
     pub improve: ImproveMode,
@@ -273,6 +273,8 @@ struct Counters {
     rejected: AtomicU64,
     repr_dense: AtomicU64,
     repr_sparse: AtomicU64,
+    sparse_settled_cells: AtomicU64,
+    sparse_pruned: AtomicU64,
     repr_paged: AtomicU64,
     paged_faults: AtomicU64,
     prefetch_issued: AtomicU64,
@@ -440,6 +442,8 @@ impl Service {
             repr: ReprReport {
                 dense_probes: self.counters.repr_dense.load(Ordering::Relaxed),
                 sparse_probes: self.counters.repr_sparse.load(Ordering::Relaxed),
+                sparse_settled_cells: self.counters.sparse_settled_cells.load(Ordering::Relaxed),
+                sparse_pruned: self.counters.sparse_pruned.load(Ordering::Relaxed),
                 paged_probes: self.counters.repr_paged.load(Ordering::Relaxed),
             },
             improve: ImproveReport {
@@ -638,9 +642,12 @@ impl WorkerCtx {
         self.counters
             .repr_dense
             .fetch_add(out.repr.dense, Ordering::Relaxed);
-        self.counters
-            .repr_sparse
-            .fetch_add(out.repr.sparse, Ordering::Relaxed);
+        if out.repr.sparse > 0 {
+            let c = &self.counters;
+            c.repr_sparse.fetch_add(out.repr.sparse, Ordering::Relaxed);
+            c.sparse_settled_cells.fetch_add(out.repr.sparse_settled_cells, Ordering::Relaxed);
+            c.sparse_pruned.fetch_add(out.repr.sparse_pruned, Ordering::Relaxed);
+        }
         if out.repr.paged > 0 {
             let c = &self.counters;
             c.repr_paged.fetch_add(out.repr.paged, Ordering::Relaxed);
@@ -810,6 +817,40 @@ mod tests {
         a.shutdown();
         b.shutdown();
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn sparse_counts_belong_to_the_service_that_swept() {
+        // Service A solves every probe with the sparse frontier sweep;
+        // B in the same process stays idle and must report no sparse
+        // work of its own.
+        let a = Service::start(ServeConfig {
+            workers: 1,
+            repr: ReprPolicy::SparseOnly,
+            portfolio: PortfolioPolicy::Fixed(crate::Arm::Ptas),
+            ..ServeConfig::default()
+        });
+        let b = Service::start(ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        });
+        let inst = uniform(3, 16, 4, 10, 60);
+        let res = a
+            .solve_blocking(SolveRequest {
+                instance: inst.clone(),
+                epsilon: Some(0.3),
+                deadline: None,
+            })
+            .unwrap();
+        assert!(!res.degraded);
+        res.schedule.validate(&inst).unwrap();
+        let repr = a.report().repr;
+        assert!(repr.sparse_probes > 0, "{repr:?}");
+        assert_eq!(repr.dense_probes + repr.paged_probes, 0, "{repr:?}");
+        assert!(repr.sparse_settled_cells >= repr.sparse_probes, "{repr:?}");
+        assert_eq!(b.report().repr, ReprReport::default());
+        a.shutdown();
+        b.shutdown();
     }
 
     #[test]

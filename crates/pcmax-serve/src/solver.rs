@@ -130,13 +130,18 @@ impl SolverOptions {
 }
 
 /// How many cache-missing probes ran under each representation, plus
-/// the page traffic of the paged probes' scratch stores.
+/// the sparse probes' frontier counts and the page traffic of the paged
+/// probes' scratch stores.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReprCounts {
     /// Probes solved by a dense in-RAM engine.
     pub dense: u64,
     /// Probes solved by the sparse frontier sweep.
     pub sparse: u64,
+    /// Cells the sparse probes' frontiers settled.
+    pub sparse_settled_cells: u64,
+    /// Candidates the sparse probes pruned (dedup, settling, dominance).
+    pub sparse_pruned: u64,
     /// Probes solved by the paged engine against a tiered store.
     pub paged: u64,
     /// Compute-path page faults of the paged probes.
@@ -373,6 +378,8 @@ fn run_planned(
         PlannedRepr::Sparse => match problem.solve_sparse_bounded(opts.max_table_cells) {
             Ok(sol) => {
                 repr.sparse += 1;
+                repr.sparse_settled_cells += sol.stats.settled_cells as u64;
+                repr.sparse_pruned += sol.stats.pruned;
                 Ok(CachedDp {
                     opt: sol.opt,
                     configs: sol.extract_configs().map(Arc::new),

@@ -120,6 +120,10 @@ pub struct ReprReport {
     pub dense_probes: u64,
     /// Probes solved by the sparse frontier sweep.
     pub sparse_probes: u64,
+    /// Cells the sparse probes' frontiers settled.
+    pub sparse_settled_cells: u64,
+    /// Candidates the sparse probes pruned.
+    pub sparse_pruned: u64,
     /// Probes solved by the paged engine against a tiered store.
     pub paged_probes: u64,
 }
@@ -479,6 +483,7 @@ mod tests {
                 dense_probes: 6,
                 sparse_probes: 2,
                 paged_probes: 1,
+                ..ReprReport::default()
             },
             improve: ImproveReport {
                 runs: 3,

@@ -34,10 +34,12 @@
 //! cycle; it consequently re-implements the small configuration DFS
 //! rather than importing `pcmax_ptas::config`.
 //!
-//! Observability: every solve bumps `sparse.solves` / `sparse.settled_cells`
-//! / `sparse.pruned` on the global [`pcmax_obs`] registry unconditionally,
-//! and records `sparse.frontier_cells` (per layer), `sparse.level_us`, and
-//! `sparse.prune_pct` histograms while recording is enabled.
+//! Observability: every solve returns its counts in [`SparseStats`]
+//! (settled cells, pruned candidates, peak residency), and while
+//! [`pcmax_obs`] recording is enabled it also keeps one
+//! [`SparseLayerStat`] per anti-diagonal layer. The caller owns the
+//! numbers: the serve layer sums them into its own `ReprCounts`, so two
+//! services in one process never mix their counts.
 
 pub mod frontier;
 pub mod predict;

@@ -189,9 +189,9 @@ test -s target/BENCH_serve_smoke.json
 grep -q '"portfolio"' target/BENCH_serve_smoke.json
 
 # Improver gauntlet: the same 64 seeds filtered to the anytime-improver
-# checks — greedy descent and the island GA must never worsen a piled
-# input, stay valid and above LB/OPT, keep the a-posteriori guarantee
-# in u128, and rerun deterministically under a fixed seed.
+# checks — the move/swap descent must never worsen a piled input, stay
+# valid and above LB/OPT, keep the a-posteriori guarantee in u128, and
+# rerun to the identical schedule on the same input.
 ./target/release/pcmax audit --seeds 64 --engine improve \
   --out target/AUDIT_improve.json
 test -s target/AUDIT_improve.json

@@ -75,16 +75,15 @@ USAGE:
                       [--repr auto|dense|sparse] [--mem-budget BYTES] [--store-dir DIR]
                       [--max-cells N] [--pages-budget BYTES]
                       [--portfolio auto|fixed:ARM]
-                      [--improve off|greedy|ga[:I,P]] [--improve-budget-us N]
-  pcmax improve FILE|- [--improve greedy|ga[:I,P]] [--improve-budget-us N]
-                      [--seed N]
+                      [--improve off|greedy] [--improve-budget-us N]
+  pcmax improve FILE|- [--improve off|greedy] [--improve-budget-us N]
   pcmax bench-serve   [--clients N] [--requests N] [--distinct N]
                       [--jobs N] [--machines N] [--epsilon F] [--deadline-ms N]
                       [--repr auto|dense|sparse] [--mem-budget BYTES]
                       [--store-dir DIR] [--max-cells N] [--pages-budget BYTES]
                       [--out FILE]
                       [--portfolio auto|fixed:ARM] [--gate-portfolio]
-                      [--improve off|greedy|ga[:I,P]] [--improve-budget-us N]
+                      [--improve off|greedy] [--improve-budget-us N]
                       [--gate-improve]
   pcmax bench-sparse  [--seed N] [--jobs N] [--machines N] [--k N]
                       [--base N] [--spread N] [--mem-budget BYTES]
@@ -161,20 +160,18 @@ policy's mean latency exceeds the *worst* fixed arm's — the selector
 must never cost more than naively pinning the wrong arm. `--improve` on
 `serve`/`bench-serve` turns on the anytime improver: after the
 portfolio answers, leftover request deadline (capped at
-`--improve-budget-us`, default 2000) is spent refining the schedule —
-`greedy` is deterministic move/swap descent, `ga:I,P` follows descent
-with an island genetic algorithm (I islands of P chromosomes, ring
-migration); the reply's makespan and assignment are the refined ones
-and its guarantee is tightened a-posteriori, never loosened. Every ok
-reply also carries `gap_ppm`, the achieved-vs-lower-bound gap in parts
-per million. `--gate-improve` on `bench-serve` reruns the workload with
+`--improve-budget-us`, default 2000) is spent refining the schedule by
+deterministic move/swap descent (`greedy`); the reply's makespan and
+assignment are the refined ones and its guarantee is tightened
+a-posteriori, never loosened. Every ok reply also carries `gap_ppm`,
+the achieved-vs-lower-bound gap in parts per million. `--gate-improve` on `bench-serve` reruns the workload with
 the improver off and exits non-zero unless the improved mean gap beats
 the unimproved one. `pcmax improve` runs the same pipeline once on an
 instance file (`-` reads stdin), seeding from the better of
 LPT-revisited and MULTIFIT, and prints a JSON report with the final
 assignment. `--engine improve` on `audit` restricts the sweep to the
 improver gauntlet (monotonicity, validity, a-posteriori guarantee,
-fixed-seed determinism). `--engine warmsync`
+rerun determinism). `--engine warmsync`
 restricts it to the warm-replication gauntlet: shipped entries survive
 the wire round-trip byte-identically (checksum re-verified), a replica
 applying them holds the owner's exact bytes, and the ranged pulls planned
@@ -217,12 +214,39 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
     let lo: u64 = flag_parse(args, "--lo", 1)?;
     let hi: u64 = flag_parse(args, "--hi", 100)?;
     let family = flag(args, "--family").unwrap_or("uniform");
+    if jobs == 0 || machines == 0 {
+        return Err(format!(
+            "--jobs and --machines must be at least 1, got {jobs} and {machines}"
+        ));
+    }
+    // The largest time the family can draw, once its range is checked:
+    // nearequal draws `hi ± (hi/10 + 1)` and ignores `--lo`.
+    let max_time = match family {
+        "uniform" | "bimodal" | "nonuniform" if lo == 0 || lo > hi => {
+            return Err(format!("need 0 < --lo <= --hi, got --lo {lo} --hi {hi}"))
+        }
+        "uniform" | "bimodal" | "nonuniform" => hi,
+        "nearequal" => {
+            let spread = hi / 10 + 1;
+            if hi <= spread {
+                return Err(format!("nearequal needs --hi of at least 2, got {hi}"));
+            }
+            hi.checked_add(spread)
+                .ok_or_else(|| format!("--hi {hi} leaves no room for the nearequal spread"))?
+        }
+        other => return Err(format!("unknown family `{other}`")),
+    };
+    if jobs as u128 * max_time as u128 > u64::MAX as u128 {
+        return Err(format!(
+            "{}: {jobs} jobs of up to {max_time} each",
+            pcmax::core::InstanceError::TotalWorkOverflow
+        ));
+    }
     let inst = match family {
         "uniform" => pcmax::gen::uniform(seed, jobs, machines, lo, hi),
         "bimodal" => pcmax::gen::bimodal(seed, jobs, machines, lo, hi, 30),
         "nonuniform" => pcmax::gen::non_uniform(seed, jobs, machines, lo, hi),
-        "nearequal" => pcmax::gen::near_equal(seed, jobs, machines, hi, hi / 10 + 1),
-        other => return Err(format!("unknown family `{other}`")),
+        _ => pcmax::gen::near_equal(seed, jobs, machines, hi, hi / 10 + 1),
     };
     let out = pcmax::core::io::format_instance(&inst);
     match flag(args, "-o") {
@@ -533,8 +557,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 /// stdin), seed with the better of LPT-revisited and MULTIFIT, spend
 /// the budget improving it, and print a JSON report carrying the final
 /// assignment. The same `--improve` / `--improve-budget-us` knobs as
-/// `serve`, defaulting to the full GA pipeline since a one-shot caller
-/// is not under a request deadline.
+/// `serve`, defaulting to `greedy`.
 fn cmd_improve(args: &[String]) -> Result<(), String> {
     let path = args
         .first()
@@ -552,13 +575,12 @@ fn cmd_improve(args: &[String]) -> Result<(), String> {
         mode: flag(args, "--improve")
             .map(str::parse::<pcmax::ImproveMode>)
             .transpose()?
-            .unwrap_or(pcmax::ImproveMode::DEFAULT_GA),
+            .unwrap_or(defaults.mode),
         budget: Duration::from_micros(flag_parse(
             args,
             "--improve-budget-us",
             defaults.budget.as_micros() as u64,
         )?),
-        seed: flag_parse(args, "--seed", defaults.seed)?,
         ..defaults
     };
     let (seed_schedule, engine, _) = pcmax::serve::heuristic_best(&inst);
@@ -585,8 +607,6 @@ fn cmd_improve(args: &[String]) -> Result<(), String> {
         .begin_object()
         .field_u64("rounds", out.stats.rounds)
         .field_u64("accepted_moves", out.stats.accepted_moves)
-        .field_u64("generations", out.stats.generations)
-        .field_u64("evaluations", out.stats.evaluations)
         .field_u64("budget_used_us", out.stats.budget_used_us)
         .end_object()
         .field_str(
@@ -1085,7 +1105,6 @@ fn cmd_bench_serve(args: &[String]) -> Result<(), String> {
     let total = latencies.len();
     let pct = |p: f64| latencies[((total - 1) as f64 * p) as usize];
     let mean: Duration = outcome.mean_latency();
-    let reg = pcmax::obs::registry::global();
     println!("requests      {total} ({degraded} degraded)");
     println!(
         "latency       mean {mean:.1?}  p50 {:.1?}  p90 {:.1?}  max {:.1?}",
@@ -1166,20 +1185,15 @@ fn cmd_bench_serve(args: &[String]) -> Result<(), String> {
         .field_u64("mean", outcome.mean_gap_ppm())
         .field_u64("p99", outcome.p99_gap_ppm())
         .end_object()
-        // The sparse engine's frontier behaviour across the whole run
-        // (global registry snapshot).
+        // The sparse engine's frontier behaviour across this service's
+        // cache-missing probes.
         .key("sparse")
         .begin_object()
-        .field_u64("solves", reg.counter("sparse.solves").get())
-        .field_u64("settled_cells", reg.counter("sparse.settled_cells").get())
-        .field_u64("pruned", reg.counter("sparse.pruned").get())
-        .key("frontier_cells");
-    reg.histogram("sparse.frontier_cells").snapshot().write_json(&mut w);
-    w.key("level_us");
-    reg.histogram("sparse.level_us").snapshot().write_json(&mut w);
-    w.key("prune_pct");
-    reg.histogram("sparse.prune_pct").snapshot().write_json(&mut w);
-    w.end_object().end_object();
+        .field_u64("solves", report.repr.sparse_probes)
+        .field_u64("settled_cells", report.repr.sparse_settled_cells)
+        .field_u64("pruned", report.repr.sparse_pruned)
+        .end_object()
+        .end_object();
     let bench = w.finish();
     let payload = format!(
         "{{\"bench\":{bench},\"service\":{}}}\n",
@@ -1193,7 +1207,7 @@ fn cmd_bench_serve(args: &[String]) -> Result<(), String> {
     }
     if gate_improve_on {
         if improve_mode == pcmax::ImproveMode::Off {
-            return Err("--gate-improve needs the improver on (pass --improve greedy|ga)".into());
+            return Err("--gate-improve needs the improver on (pass --improve greedy)".into());
         }
         gate_improve(args, load, &outcome)?;
     }

@@ -40,7 +40,7 @@
 //! | [`pcmax_gpu`] | the paper's GPU algorithm (Algorithms 3–5) on the simulator |
 //! | [`pcmax_store`] | paged table memory: tiered RAM/disk page store, byte budgets, warm-start log |
 //! | [`pcmax_sparse`] | sparsified configuration DP: reachable-cell frontier, dominance pruning, representation predictor |
-//! | [`pcmax_improve`] | anytime schedule improvement: move/swap descent, island GA with rayon-batched fitness |
+//! | [`pcmax_improve`] | anytime schedule improvement: deterministic move/swap descent |
 //! | [`pcmax_serve`] | the solver service: batching, DP memo cache, deadlines, TCP front-end |
 //! | [`pcmax_cluster`] | sharded multi-worker serving: cache-affinity routing, health checks, failover |
 //! | [`pcmax_obs`] | observability: spans, counters, log₂ histograms, JSON export |

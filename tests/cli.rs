@@ -177,6 +177,56 @@ fn out_of_range_epsilon_is_rejected() {
 }
 
 #[test]
+fn out_of_range_gen_flags_are_rejected() {
+    let max = u64::MAX.to_string();
+    let cases: [(&[&str], &str); 8] = [
+        (&["--machines", "0"], "--jobs and --machines must be at least 1"),
+        (&["--jobs", "0"], "--jobs and --machines must be at least 1"),
+        (&["--lo", "0"], "need 0 < --lo <= --hi"),
+        (&["--lo", "50", "--hi", "10"], "need 0 < --lo <= --hi"),
+        (&["--family", "bimodal", "--lo", "0"], "need 0 < --lo <= --hi"),
+        (&["--family", "nearequal", "--hi", "0"], "nearequal needs --hi of at least 2"),
+        (&["--family", "nearequal", "--hi", &max], "no room for the nearequal spread"),
+        (&["--jobs", "2", "--hi", &max], "total work exceeds u64::MAX"),
+    ];
+    for (flags, message) in cases {
+        let out = output_within(pcmax().arg("gen").args(flags), 60);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "`gen {flags:?}` must fail");
+        assert!(!stderr.contains("panicked"), "`gen {flags:?}`: {stderr}");
+        assert!(stderr.starts_with("error: "), "`gen {flags:?}`: {stderr}");
+        assert!(stderr.contains(message), "`gen {flags:?}`: {stderr}");
+    }
+    // The edges just inside the ranges still generate.
+    let accepted: [&[&str]; 3] = [
+        &["--family", "bimodal", "--lo", "1", "--hi", "1"],
+        &["--family", "nonuniform", "--jobs", "1", "--hi", &max],
+        &["--family", "nearequal", "--hi", "2"],
+    ];
+    for flags in accepted {
+        let out = output_within(pcmax().arg("gen").args(flags), 60);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "`gen {flags:?}`: {stderr}");
+    }
+}
+
+#[test]
+fn improve_runs_the_descent_and_rejects_ga() {
+    let inst = temp_path("improve.inst");
+    std::fs::write(&inst, "3\n9 7 6 5 4 4 3 2 2\n").expect("write");
+    let out = output_within(pcmax().arg("improve").arg(&inst), 60);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(stdout.contains("\"mode\":\"greedy\""), "{stdout}");
+    assert!(!stdout.contains("generations"), "{stdout}");
+
+    let out = output_within(pcmax().arg("improve").arg(&inst).args(["--improve", "ga"]), 60);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "`--improve ga` must fail");
+    assert!(stderr.contains("off|greedy"), "{stderr}");
+}
+
+#[test]
 fn bad_inputs_fail_cleanly() {
     // Unknown command.
     let out = pcmax().arg("frobnicate").output().expect("run");
