@@ -41,8 +41,8 @@ pub fn non_uniform(seed: u64, n: usize, m: usize, lo: u64, hi: u64) -> Instance 
 }
 
 /// Bimodal mix of short and long jobs: each job is long (`[hi/2, hi]`,
-/// at least 1) with probability `long_pct`%, otherwise short
-/// (`[lo, hi/10]`). Exercises the PTAS's short/long split.
+/// at least `lo`) with probability `long_pct`%, otherwise short
+/// (`[lo, hi/10]`, at least `lo`). Exercises the PTAS's short/long split.
 pub fn bimodal(seed: u64, n: usize, m: usize, lo: u64, hi: u64, long_pct: u32) -> Instance {
     assert!(lo > 0 && lo <= hi && long_pct <= 100);
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -50,7 +50,7 @@ pub fn bimodal(seed: u64, n: usize, m: usize, lo: u64, hi: u64, long_pct: u32) -
     let times = (0..n)
         .map(|_| {
             if rng.gen_ratio(long_pct, 100) {
-                rng.gen_range((hi / 2).max(1)..=hi)
+                rng.gen_range((hi / 2).max(lo)..=hi)
             } else {
                 rng.gen_range(lo..=short_hi)
             }
@@ -112,6 +112,9 @@ mod tests {
         // hi = 1 makes the long band [0, 1] before clamping.
         let inst = bimodal(1, 200, 2, 1, 1, 50);
         assert!(inst.times().iter().all(|&t| t == 1));
+        // lo above hi/2 lifts the long band too: every time is in [lo, hi].
+        let inst = bimodal(1, 200, 3, 60, 100, 50);
+        assert!(inst.times().iter().all(|&t| (60..=100).contains(&t)));
         // 9·hi overflows u64 unless widened.
         let inst = non_uniform(2, 1, 1, 1, u64::MAX);
         assert!(inst.time(0) > 0);

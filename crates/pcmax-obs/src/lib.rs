@@ -26,7 +26,7 @@
 //!
 //! Every `record` call first checks one relaxed [`AtomicBool`] — the
 //! entire cost of the instrumentation on an un-instrumented run. Callers
-//! that want data (the `pcmax trace`/`serve`/`bench-serve` commands,
+//! that want data (the `pcmax trace`/`serve`/`cluster` commands,
 //! tests asserting on histograms) opt in with [`set_enabled`]`(true)`.
 //! Timestamps follow the same rule: [`Timer::start`] does not even read
 //! the clock while recording is off.

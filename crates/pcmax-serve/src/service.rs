@@ -273,8 +273,6 @@ struct Counters {
     rejected: AtomicU64,
     repr_dense: AtomicU64,
     repr_sparse: AtomicU64,
-    sparse_settled_cells: AtomicU64,
-    sparse_pruned: AtomicU64,
     repr_paged: AtomicU64,
     paged_faults: AtomicU64,
     prefetch_issued: AtomicU64,
@@ -442,8 +440,6 @@ impl Service {
             repr: ReprReport {
                 dense_probes: self.counters.repr_dense.load(Ordering::Relaxed),
                 sparse_probes: self.counters.repr_sparse.load(Ordering::Relaxed),
-                sparse_settled_cells: self.counters.sparse_settled_cells.load(Ordering::Relaxed),
-                sparse_pruned: self.counters.sparse_pruned.load(Ordering::Relaxed),
                 paged_probes: self.counters.repr_paged.load(Ordering::Relaxed),
             },
             improve: ImproveReport {
@@ -642,12 +638,9 @@ impl WorkerCtx {
         self.counters
             .repr_dense
             .fetch_add(out.repr.dense, Ordering::Relaxed);
-        if out.repr.sparse > 0 {
-            let c = &self.counters;
-            c.repr_sparse.fetch_add(out.repr.sparse, Ordering::Relaxed);
-            c.sparse_settled_cells.fetch_add(out.repr.sparse_settled_cells, Ordering::Relaxed);
-            c.sparse_pruned.fetch_add(out.repr.sparse_pruned, Ordering::Relaxed);
-        }
+        self.counters
+            .repr_sparse
+            .fetch_add(out.repr.sparse, Ordering::Relaxed);
         if out.repr.paged > 0 {
             let c = &self.counters;
             c.repr_paged.fetch_add(out.repr.paged, Ordering::Relaxed);
@@ -847,7 +840,6 @@ mod tests {
         let repr = a.report().repr;
         assert!(repr.sparse_probes > 0, "{repr:?}");
         assert_eq!(repr.dense_probes + repr.paged_probes, 0, "{repr:?}");
-        assert!(repr.sparse_settled_cells >= repr.sparse_probes, "{repr:?}");
         assert_eq!(b.report().repr, ReprReport::default());
         a.shutdown();
         b.shutdown();

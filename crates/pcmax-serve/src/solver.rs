@@ -130,18 +130,13 @@ impl SolverOptions {
 }
 
 /// How many cache-missing probes ran under each representation, plus
-/// the sparse probes' frontier counts and the page traffic of the paged
-/// probes' scratch stores.
+/// the page traffic of the paged probes' scratch stores.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReprCounts {
     /// Probes solved by a dense in-RAM engine.
     pub dense: u64,
     /// Probes solved by the sparse frontier sweep.
     pub sparse: u64,
-    /// Cells the sparse probes' frontiers settled.
-    pub sparse_settled_cells: u64,
-    /// Candidates the sparse probes pruned (dedup, settling, dominance).
-    pub sparse_pruned: u64,
     /// Probes solved by the paged engine against a tiered store.
     pub paged: u64,
     /// Compute-path page faults of the paged probes.
@@ -195,39 +190,19 @@ const PAGED_NS_PER_CELL: u64 = 600;
 pub struct InstanceFeatures {
     /// Number of jobs.
     pub n: usize,
-    /// Number of machines.
-    pub m: usize,
-    /// PTAS rounding parameter `k = ⌈1/ε⌉` the features were probed at.
-    pub k: u64,
     /// Shortest processing time.
     pub min_time: u64,
     /// Longest processing time.
     pub max_time: u64,
-    /// Time spread `(max − min)·100 / max` — 0 for uniform instances.
-    pub spread_pct: u64,
-    /// Coefficient of variation of the times ×100 (integerised f64).
-    pub cv_pct: u64,
-    /// Area/max lower bound on the optimum.
-    pub lb: u64,
-    /// List-scheduling upper bound on the optimum.
-    pub ub: u64,
-    /// Dense cells of the bisection-midpoint probe's rounded problem.
-    pub dense_cells: u64,
-    /// Dense bytes of that table under the store's page codec.
-    pub dense_bytes: u64,
-    /// Estimated resident sparse-frontier cells for the same probe.
-    pub sparse_cells: u64,
-    /// Estimated resident sparse bytes.
-    pub sparse_bytes: u64,
     /// Representation the admission ladder would run the midpoint probe
     /// under; `None` when every representation is over the cell budget
     /// (the DP arms are unavailable).
     pub planned: Option<PlannedRepr>,
-    /// Bisection probes the target search will need (bits of `ub − lb`,
-    /// plus the final assembly probe).
-    pub est_probes: u32,
     /// Upper-biased wall-clock estimate for the whole cache-cold DP
-    /// search under `planned`, in µs (0 when no representation admits).
+    /// search under `planned`, in µs (0 when no representation admits):
+    /// the planned representation's resident cells × its ns per cell ×
+    /// the bisection probes the search needs (bits of `ub − lb`, plus
+    /// the final assembly probe).
     pub est_dp_us: u64,
 }
 
@@ -236,38 +211,23 @@ pub struct InstanceFeatures {
 /// which representations are admissible).
 pub fn probe_features(inst: &Instance, k: u64, opts: &SolverOptions) -> InstanceFeatures {
     let n = inst.num_jobs();
-    let m = inst.machines();
     let lb = bounds::lower_bound(inst);
     let ub = bounds::upper_bound(inst);
     let min_time = (0..n).map(|j| inst.time(j)).min().unwrap_or(0);
     let max_time = inst.max_time();
-    let spread_pct = if max_time == 0 {
-        0
-    } else {
-        ((max_time - min_time) as u128 * 100 / max_time as u128) as u64
-    };
-    let cv_pct = cv_pct(inst);
     // The bisection midpoint's rounding stands in for the whole search:
     // table dimensions depend on the target only through the class
     // structure, which varies slowly across the interval.
     let t = interval::bisection_target(lb, ub);
-    let (dense_cells, dense_bytes, sparse_cells, sparse_bytes, planned) =
-        match Rounding::compute(inst, t, k) {
-            // Unreachable in practice (t ≥ lb ≥ max tⱼ), kept total.
-            RoundingOutcome::Infeasible { .. } => (0, 0, 0, 0, None),
-            RoundingOutcome::Rounded(r) => {
-                let problem = DpProblem::from_rounding(&r);
-                let p = problem.predict_sparse();
-                let planned = plan_repr(&problem, opts).ok();
-                (
-                    p.dense_cells,
-                    p.dense_bytes,
-                    p.est_sparse_cells,
-                    p.est_sparse_bytes,
-                    planned,
-                )
-            }
-        };
+    let (dense_cells, sparse_cells, planned) = match Rounding::compute(inst, t, k) {
+        // Unreachable in practice (t ≥ lb ≥ max tⱼ), kept total.
+        RoundingOutcome::Infeasible { .. } => (0, 0, None),
+        RoundingOutcome::Rounded(r) => {
+            let problem = DpProblem::from_rounding(&r);
+            let p = problem.predict_sparse();
+            (p.dense_cells, p.est_sparse_cells, plan_repr(&problem, opts).ok())
+        }
+    };
     let est_probes = 64 - (ub - lb).leading_zeros() + 1;
     let (cells, per_cell_ns) = match planned {
         Some(PlannedRepr::Dense) => (dense_cells, DENSE_NS_PER_CELL),
@@ -279,20 +239,9 @@ pub fn probe_features(inst: &Instance, k: u64, opts: &SolverOptions) -> Instance
         .min(u64::MAX as u128) as u64;
     InstanceFeatures {
         n,
-        m,
-        k,
         min_time,
         max_time,
-        spread_pct,
-        cv_pct,
-        lb,
-        ub,
-        dense_cells,
-        dense_bytes,
-        sparse_cells,
-        sparse_bytes,
         planned,
-        est_probes,
         est_dp_us,
     }
 }
@@ -378,8 +327,6 @@ fn run_planned(
         PlannedRepr::Sparse => match problem.solve_sparse_bounded(opts.max_table_cells) {
             Ok(sol) => {
                 repr.sparse += 1;
-                repr.sparse_settled_cells += sol.stats.settled_cells as u64;
-                repr.sparse_pruned += sol.stats.pruned;
                 Ok(CachedDp {
                     opt: sol.opt,
                     configs: sol.extract_configs().map(Arc::new),
@@ -744,19 +691,15 @@ mod tests {
     fn features_probe_is_sane() {
         let inst = uniform(5, 24, 3, 1, 50);
         let f = probe_features(&inst, 4, &seq());
-        assert_eq!((f.n, f.m, f.k), (24, 3, 4));
-        assert!(f.lb <= f.ub);
+        assert_eq!(f.n, 24);
+        assert!(f.min_time < f.max_time);
         assert_eq!(f.planned, Some(PlannedRepr::Dense));
-        assert!(f.dense_cells > 0);
         assert!(f.est_dp_us > 0);
-        assert!(f.spread_pct > 0 && f.spread_pct <= 100);
-        assert!(f.est_probes >= 1);
 
-        // Uniform times: zero spread, zero CV.
+        // Uniform times: the extremes coincide.
         let flat = Instance::new(vec![7; 12], 3);
         let ff = probe_features(&flat, 4, &seq());
-        assert_eq!(ff.spread_pct, 0);
-        assert_eq!(ff.cv_pct, 0);
+        assert_eq!((ff.min_time, ff.max_time), (7, 7));
 
         // A 1-cell budget admits no representation: the DP arms are
         // reported unavailable and the cost estimate is zero.

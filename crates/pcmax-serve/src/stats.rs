@@ -16,8 +16,6 @@ use std::str::FromStr;
 pub enum EngineUsed {
     /// The full PTAS: rounded DP + target search.
     Ptas,
-    /// Longest-processing-time fallback (deadline/size degradation).
-    Lpt,
     /// LPT-revisited: LPT prefix + exact critical tail (portfolio arm
     /// and the degraded-mode fallback since the portfolio landed).
     LptRev,
@@ -31,7 +29,6 @@ impl fmt::Display for EngineUsed {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             EngineUsed::Ptas => "ptas",
-            EngineUsed::Lpt => "lpt",
             EngineUsed::LptRev => "lptrev",
             EngineUsed::Multifit => "multifit",
             EngineUsed::Exact => "exact",
@@ -44,7 +41,6 @@ impl FromStr for EngineUsed {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "ptas" => Ok(EngineUsed::Ptas),
-            "lpt" => Ok(EngineUsed::Lpt),
             "lptrev" => Ok(EngineUsed::LptRev),
             "multifit" => Ok(EngineUsed::Multifit),
             "exact" => Ok(EngineUsed::Exact),
@@ -120,10 +116,6 @@ pub struct ReprReport {
     pub dense_probes: u64,
     /// Probes solved by the sparse frontier sweep.
     pub sparse_probes: u64,
-    /// Cells the sparse probes' frontiers settled.
-    pub sparse_settled_cells: u64,
-    /// Candidates the sparse probes pruned.
-    pub sparse_pruned: u64,
     /// Probes solved by the paged engine against a tiered store.
     pub paged_probes: u64,
 }
@@ -387,7 +379,7 @@ pub struct ServiceReport {
 
 impl ServiceReport {
     /// The report as one JSON object — the payload of the TCP protocol's
-    /// `stats` verb and of `BENCH_serve.json`.
+    /// `stats` verb.
     pub fn to_json(&self) -> String {
         let mut w = JsonWriter::new();
         w.begin_object()
@@ -458,7 +450,6 @@ mod tests {
     fn engine_roundtrips_through_display() {
         for e in [
             EngineUsed::Ptas,
-            EngineUsed::Lpt,
             EngineUsed::LptRev,
             EngineUsed::Multifit,
             EngineUsed::Exact,
@@ -466,6 +457,7 @@ mod tests {
             assert_eq!(e.to_string().parse::<EngineUsed>().unwrap(), e);
         }
         assert!("gpu".parse::<EngineUsed>().is_err());
+        assert!("lpt".parse::<EngineUsed>().is_err());
     }
 
     #[test]
@@ -483,7 +475,6 @@ mod tests {
                 dense_probes: 6,
                 sparse_probes: 2,
                 paged_probes: 1,
-                ..ReprReport::default()
             },
             improve: ImproveReport {
                 runs: 3,

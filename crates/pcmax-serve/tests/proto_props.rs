@@ -9,9 +9,8 @@ use pcmax_warmsync::{ShipEntry, WarmDigest};
 use proptest::prelude::*;
 use std::time::Duration;
 
-const ENGINES: [EngineUsed; 5] = [
+const ENGINES: [EngineUsed; 4] = [
     EngineUsed::Ptas,
-    EngineUsed::Lpt,
     EngineUsed::LptRev,
     EngineUsed::Multifit,
     EngineUsed::Exact,

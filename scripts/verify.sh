@@ -6,6 +6,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
+# The facade package's tests, including the loopback portfolio gate
+# (auto selector vs every pinned arm) and improver gate (improved vs
+# unimproved mean gap_ppm) in tests/serve.rs.
 cargo test -q
 # Every workspace crate's suites (unit, integration, proptests), not only
 # the facade package's.
@@ -178,16 +181,6 @@ test -s target/AUDIT_sparse.json
   --out target/AUDIT_portfolio.json
 test -s target/AUDIT_portfolio.json
 
-# Portfolio economics smoke: a tiny bench-serve under --gate-portfolio
-# reruns the workload once per fixed arm and fails if the auto policy's
-# mean latency exceeds the worst pinned arm's (x1.5 + 50ms slack) — the
-# selector must never cost more than naively pinning the wrong arm.
-./target/release/pcmax bench-serve --gate-portfolio \
-  --clients 2 --requests 8 --distinct 2 --jobs 20 --machines 3 \
-  --out target/BENCH_serve_smoke.json
-test -s target/BENCH_serve_smoke.json
-grep -q '"portfolio"' target/BENCH_serve_smoke.json
-
 # Improver gauntlet: the same 64 seeds filtered to the anytime-improver
 # checks — the move/swap descent must never worsen a piled input, stay
 # valid and above LB/OPT, keep the a-posteriori guarantee in u128, and
@@ -195,16 +188,3 @@ grep -q '"portfolio"' target/BENCH_serve_smoke.json
 ./target/release/pcmax audit --seeds 64 --engine improve \
   --out target/AUDIT_improve.json
 test -s target/AUDIT_improve.json
-
-# Improver economics smoke: bench-serve pinned to fixed:lptrev (room
-# for the neighborhood to improve) with the greedy improver on, under
-# --gate-improve: the workload reruns with the improver off and the run
-# fails unless the improved mean gap_ppm strictly beats the unimproved
-# one. Also re-validates every reply's assignment against its reported
-# makespan client-side.
-./target/release/pcmax bench-serve --gate-improve \
-  --clients 2 --requests 8 --distinct 4 --jobs 40 --machines 6 \
-  --portfolio fixed:lptrev --improve greedy \
-  --out target/BENCH_serve_improve.json
-test -s target/BENCH_serve_improve.json
-grep -q '"gap_ppm"' target/BENCH_serve_improve.json

@@ -38,7 +38,6 @@ fn main() -> ExitCode {
         "simulate" => cmd_simulate(rest),
         "serve" => cmd_serve(rest),
         "improve" => cmd_improve(rest),
-        "bench-serve" => cmd_bench_serve(rest),
         "bench-sparse" => cmd_bench_sparse(rest),
         "cluster" => cmd_cluster(rest),
         "bench-cluster" => cmd_bench_cluster(rest),
@@ -77,27 +76,25 @@ USAGE:
                       [--portfolio auto|fixed:ARM]
                       [--improve off|greedy] [--improve-budget-us N]
   pcmax improve FILE|- [--improve off|greedy] [--improve-budget-us N]
-  pcmax bench-serve   [--clients N] [--requests N] [--distinct N]
-                      [--jobs N] [--machines N] [--epsilon F] [--deadline-ms N]
-                      [--repr auto|dense|sparse] [--mem-budget BYTES]
-                      [--store-dir DIR] [--max-cells N] [--pages-budget BYTES]
-                      [--out FILE]
-                      [--portfolio auto|fixed:ARM] [--gate-portfolio]
-                      [--improve off|greedy] [--improve-budget-us N]
-                      [--gate-improve]
   pcmax bench-sparse  [--seed N] [--jobs N] [--machines N] [--k N]
                       [--base N] [--spread N] [--mem-budget BYTES]
                       [--max-resident-pct F] [--out FILE]
   pcmax cluster       [--workers N] [--addr HOST:PORT] [--threads N]
                       [--queue N] [--deadline-ms N] [--epsilon F]
-                      [--heartbeat-ms N] [--max-missed N] [--retries N]
+                      [--engine seq|par|blockedN] [--repr auto|dense|sparse]
                       [--mem-budget BYTES] [--store-dir DIR]
+                      [--max-cells N] [--pages-budget BYTES]
+                      [--portfolio auto|fixed:ARM]
+                      [--improve off|greedy] [--improve-budget-us N]
+                      [--heartbeat-ms N] [--max-missed N] [--retries N]
+                      [--warmsync on|off] [--replicas N]
   pcmax store-stats   [--seed N] [--jobs N] [--machines N] [--k N] [--dim N]
                       [--mem-budget BYTES] [--store-dir DIR] [--overlap on|off]
   pcmax bench-cluster [--workers N] [--clients N] [--requests N] [--distinct N]
                       [--jobs N] [--machines N] [--epsilon F] [--deadline-ms N]
                       [--kill-after N] [--churn N] [--warmsync on|off]
-                      [--replicas N] [--out FILE]
+                      [--replicas N] [--heartbeat-ms N] [--max-missed N]
+                      [--store-dir DIR] [--out FILE]
   pcmax audit         [--seeds N] [--k N] [--max-cells N]
                       [--engine sparse|portfolio|improve|paged|warmsync]
                       [--out FILE]
@@ -107,10 +104,8 @@ the paper's quarter split). `trace` solves with recording enabled and
 prints a span tree attributing wall time to search rounds, probes,
 rounding, and DP levels. `serve` answers line-protocol requests over
 TCP: `solve <m> <eps|-> <deadline_ms|-> <t1,t2,...>`, `stats` (JSON
-counters + latency histograms), `health`, `ping`. `bench-serve` drives
-an in-process server over loopback, reports latency and DP-cache
-statistics, and writes a machine-readable BENCH_serve.json. `cluster`
-starts N in-process workers behind a cache-affinity routing coordinator
+counters + latency histograms), `health`, `ping`. `cluster` starts
+N in-process workers behind a cache-affinity routing coordinator
 speaking the same protocol (`stats` answers with the aggregated cluster
 report). `bench-cluster` drives a cluster over loopback — optionally
 killing a worker after `--kill-after` requests to exercise failover —
@@ -118,10 +113,12 @@ and writes BENCH_cluster.json; `--churn N` then runs N kill-and-join
 cycles against the warm fleet and records the replacement worker's
 cold-start misses and rebalance latency in the same JSON (`--warmsync
 off` disables warm-state replication for an A/B baseline; `--replicas R`
-sets the replication factor, default 2). `audit` runs the adversarial
-differential-fuzz harness (u64-scale times, degenerate shapes) across
-`--seeds` seeds, cross-checking the three DP engines cell-for-cell, the
-searches, the serve solver, and the exact oracles; it prints a JSON
+sets the replication factor, default 2); it also takes the other
+solver and routing options of `cluster`, all but `--addr`. `audit`
+runs the adversarial differential-fuzz harness (u64-scale times,
+degenerate shapes) across `--seeds` seeds, cross-checking the three
+DP engines cell-for-cell, the searches, the serve solver, and the exact
+oracles; it prints a JSON
 divergence report (optionally to `--out FILE`) and exits non-zero if
 any check diverged; `--engine sparse` restricts the sweep to the sparse
 frontier engine's differential checks, `--engine portfolio` to the
@@ -133,10 +130,10 @@ every retained cell, and writes BENCH_sparse.json with the memory and
 latency comparison plus the representation predictor's verdict; it exits
 non-zero on divergence or when peak resident cells reach
 `--max-resident-pct` of the dense table. `--repr` on `serve` and
-`bench-serve` pins the table representation (`auto` predicts
+`cluster` pins the table representation (`auto` predicts
 dense/sparse/paged per probe). `store-stats` is the paged-store smoke: it rounds a
 generated instance, solves the DP once through the tiered RAM/disk page
-store under `--mem-budget` (default 4096 bytes — small enough to force
+store under `--mem-budget` (default 1024 bytes — small enough to force
 spilling), differential-checks the paged table cell-for-cell against the
 in-RAM sequential engine, prints the store's tier occupancy, hit/fault
 counters, and fault-latency histogram as JSON, and exits non-zero on any
@@ -146,7 +143,7 @@ level, the paper's stream round-robin), whose prefetch/write-behind
 counters land in the same JSON. `--engine paged` on `audit` restricts
 the sweep to the paged-store contract plus the overlapped-vs-sync-vs-
 dense differential. `--mem-budget` accepts `4096`, `64K`, `16M`, or `1G`;
-`--store-dir` on `serve`/`cluster`/`bench-serve` enables the persistent
+`--store-dir` on `serve`/`cluster` enables the persistent
 warm-start log (cluster workers get per-worker subdirectories).
 `--portfolio` picks the per-request solver arm: `auto` (feature-driven
 selection) or `fixed:ARM` (pin one arm). ARM is one of lptrev,
@@ -154,28 +151,23 @@ multifit, exact, ptas; the ptas arm's tables follow `--repr`, so
 `--repr dense --portfolio fixed:ptas` pins the dense PTAS. A picked
 arm that fails falls back to the heuristic net (the better of lptrev
 and multifit, or one of them when under 200 µs remain), flagged
-degraded. `--gate-portfolio` on `bench-serve`
-reruns the workload once per fixed arm and exits non-zero if the auto
-policy's mean latency exceeds the *worst* fixed arm's — the selector
-must never cost more than naively pinning the wrong arm. `--improve` on
-`serve`/`bench-serve` turns on the anytime improver: after the
-portfolio answers, leftover request deadline (capped at
-`--improve-budget-us`, default 2000) is spent refining the schedule by
-deterministic move/swap descent (`greedy`); the reply's makespan and
-assignment are the refined ones and its guarantee is tightened
-a-posteriori, never loosened. Every ok reply also carries `gap_ppm`,
-the achieved-vs-lower-bound gap in parts per million. `--gate-improve` on `bench-serve` reruns the workload with
-the improver off and exits non-zero unless the improved mean gap beats
-the unimproved one. `pcmax improve` runs the same pipeline once on an
-instance file (`-` reads stdin), seeding from the better of
-LPT-revisited and MULTIFIT, and prints a JSON report with the final
-assignment. `--engine improve` on `audit` restricts the sweep to the
-improver gauntlet (monotonicity, validity, a-posteriori guarantee,
-rerun determinism). `--engine warmsync`
-restricts it to the warm-replication gauntlet: shipped entries survive
-the wire round-trip byte-identically (checksum re-verified), a replica
-applying them holds the owner's exact bytes, and the ranged pulls planned
-for a subset of the owner's keys return exactly that subset.";
+degraded. `--improve` on `serve`/`cluster` turns on the anytime
+improver: after the portfolio answers, leftover request deadline
+(capped at `--improve-budget-us`, default 2000) is spent refining the
+schedule by deterministic move/swap descent (`greedy`); the reply's
+makespan and assignment are the refined ones and its guarantee is
+tightened a-posteriori, never loosened. Every ok reply also carries
+`gap_ppm`, the achieved-vs-lower-bound gap in parts per million.
+`pcmax improve` runs the same pipeline once on an instance file (`-`
+reads stdin), seeding from the better of LPT-revisited and MULTIFIT,
+and prints a JSON report with the final assignment. `--engine improve`
+on `audit` restricts the sweep to the improver gauntlet (monotonicity,
+validity, a-posteriori guarantee, rerun determinism).
+`--engine warmsync` restricts it to the warm-replication gauntlet:
+shipped entries survive the wire round-trip byte-identically (checksum
+re-verified), a replica applying them holds the owner's exact bytes,
+and the ranged pulls planned for a subset of the owner's keys return
+exactly that subset.";
 
 /// Fetches the value following a `--flag`.
 fn flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
@@ -953,331 +945,6 @@ fn cmd_bench_cluster(args: &[String]) -> Result<(), String> {
     eprintln!("wrote {out_path}");
 
     handle.shutdown();
-    Ok(())
-}
-
-/// One bench-serve workload knob set, shared by the main run and the
-/// `--gate-portfolio` reruns.
-#[derive(Clone, Copy)]
-struct BenchServeLoad {
-    clients: usize,
-    requests: usize,
-    distinct: u64,
-    jobs: usize,
-    machines: usize,
-    epsilon: f64,
-    deadline_ms: u64,
-}
-
-/// What one bench-serve workload produced: sorted client-side
-/// latencies, sorted per-reply a-posteriori gaps (ppm vs the area/max
-/// lower bound), the degraded count, and the service's final report.
-struct BenchServeOutcome {
-    latencies: Vec<Duration>,
-    gaps_ppm: Vec<u64>,
-    degraded: usize,
-    report: pcmax::serve::ServiceReport,
-}
-
-impl BenchServeOutcome {
-    fn mean_latency(&self) -> Duration {
-        self.latencies.iter().sum::<Duration>() / self.latencies.len() as u32
-    }
-
-    fn mean_gap_ppm(&self) -> u64 {
-        let n = self.gaps_ppm.len() as u128;
-        (self.gaps_ppm.iter().map(|&g| g as u128).sum::<u128>() / n.max(1)) as u64
-    }
-
-    fn p99_gap_ppm(&self) -> u64 {
-        let n = self.gaps_ppm.len();
-        self.gaps_ppm[((n - 1) as f64 * 0.99) as usize]
-    }
-}
-
-/// Starts a fresh service from `config`, drives the workload over
-/// loopback, and returns the [`BenchServeOutcome`]. Every reply's
-/// assignment is re-validated client-side: the recomputed makespan must
-/// equal the reported one, or the bench fails.
-fn bench_serve_run(
-    config: pcmax::ServeConfig,
-    load: BenchServeLoad,
-) -> Result<BenchServeOutcome, String> {
-    let service = pcmax::Service::start(config);
-    let handle =
-        serve_tcp(Arc::clone(&service), "127.0.0.1:0").map_err(|e| format!("binding: {e}"))?;
-    let addr = handle.local_addr();
-    let BenchServeLoad {
-        clients,
-        requests,
-        distinct,
-        jobs,
-        machines,
-        epsilon,
-        deadline_ms,
-    } = load;
-    let worker = move |client_id: usize| -> Result<Vec<(Duration, bool, u64)>, String> {
-        let mut client = Client::connect(addr).map_err(|e| format!("connect: {e}"))?;
-        let mut samples = Vec::with_capacity(requests);
-        for r in 0..requests {
-            // Cycle the distinct pool so repeats hit the DP cache.
-            let seed = ((client_id * requests + r) as u64) % distinct;
-            let inst = pcmax::gen::uniform(seed, jobs, machines, 1, 100);
-            let start = Instant::now();
-            let reply = client.solve(
-                &inst,
-                Some(epsilon),
-                Some(Duration::from_millis(deadline_ms)),
-            )?;
-            let elapsed = start.elapsed();
-            let recomputed = reply
-                .schedule
-                .validate(&inst)
-                .map_err(|e| format!("invalid schedule from server: {e}"))?;
-            if recomputed != reply.makespan {
-                return Err(format!(
-                    "assignment realises makespan {recomputed}, server reported {}",
-                    reply.makespan
-                ));
-            }
-            samples.push((elapsed, reply.degraded, reply.gap_ppm));
-        }
-        Ok(samples)
-    };
-    let handles: Vec<_> = (0..clients)
-        .map(|c| std::thread::spawn(move || worker(c)))
-        .collect();
-    let mut latencies: Vec<Duration> = Vec::new();
-    let mut gaps_ppm: Vec<u64> = Vec::new();
-    let mut degraded = 0usize;
-    for h in handles {
-        for (latency, was_degraded, gap) in h.join().map_err(|_| "client thread panicked")?? {
-            latencies.push(latency);
-            gaps_ppm.push(gap);
-            degraded += usize::from(was_degraded);
-        }
-    }
-    latencies.sort_unstable();
-    gaps_ppm.sort_unstable();
-    let report = service.report();
-    handle.shutdown();
-    service.shutdown();
-    Ok(BenchServeOutcome {
-        latencies,
-        gaps_ppm,
-        degraded,
-        report,
-    })
-}
-
-fn cmd_bench_serve(args: &[String]) -> Result<(), String> {
-    let load = BenchServeLoad {
-        clients: flag_parse(args, "--clients", 4)?,
-        requests: flag_parse(args, "--requests", 16)?,
-        distinct: flag_parse(args, "--distinct", 4)?,
-        jobs: flag_parse(args, "--jobs", 30)?,
-        machines: flag_parse(args, "--machines", 4)?,
-        epsilon: flag_parse(args, "--epsilon", 0.3)?,
-        deadline_ms: flag_parse(args, "--deadline-ms", 2000)?,
-    };
-    let out_path = flag(args, "--out").unwrap_or("BENCH_serve.json");
-    let gate = args.iter().any(|a| a == "--gate-portfolio");
-    let gate_improve_on = args.iter().any(|a| a == "--gate-improve");
-    if load.clients == 0 || load.requests == 0 || load.distinct == 0 {
-        return Err("--clients, --requests, and --distinct must be positive".into());
-    }
-
-    pcmax::obs::set_enabled(true);
-    let config = serve_config_from_flags(args)?;
-    let policy = config.portfolio;
-    let improve_mode = config.improve;
-    eprintln!(
-        "bench: {} clients x {} requests over {} distinct instances ({} jobs, {} machines), portfolio {policy}, improve {improve_mode}",
-        load.clients, load.requests, load.distinct, load.jobs, load.machines
-    );
-    let outcome = bench_serve_run(config, load)?;
-    let BenchServeOutcome {
-        ref latencies,
-        degraded,
-        ref report,
-        ..
-    } = outcome;
-    let total = latencies.len();
-    let pct = |p: f64| latencies[((total - 1) as f64 * p) as usize];
-    let mean: Duration = outcome.mean_latency();
-    println!("requests      {total} ({degraded} degraded)");
-    println!(
-        "latency       mean {mean:.1?}  p50 {:.1?}  p90 {:.1?}  max {:.1?}",
-        pct(0.5),
-        pct(0.9),
-        pct(1.0)
-    );
-    println!(
-        "dp cache      {} hits, {} misses, {} evictions, {} resident ({:.1}% hit rate)",
-        report.cache.hits,
-        report.cache.misses,
-        report.cache.evictions,
-        report.cache.entries,
-        report.cache.hit_rate() * 100.0
-    );
-    println!(
-        "service       {} accepted, {} completed, {} rejected",
-        report.accepted, report.completed, report.rejected
-    );
-    println!(
-        "repr          {} dense, {} sparse, {} paged probe solves",
-        report.repr.dense_probes, report.repr.sparse_probes, report.repr.paged_probes
-    );
-    println!(
-        "store         {}/{} cache bytes ({}% pressure), warm tier: {} entries, {} rehydrated, {} disk hits, {} appends",
-        report.store.cache_bytes,
-        report.store.budget_bytes,
-        report.store.pressure_pct,
-        report.store.warm_entries,
-        report.store.rehydrated,
-        report.store.disk_hits,
-        report.store.appends
-    );
-    println!(
-        "gap           mean {} ppm, p99 {} ppm vs lower bound",
-        outcome.mean_gap_ppm(),
-        outcome.p99_gap_ppm()
-    );
-    println!(
-        "improve       {} runs, {} improved the portfolio answer",
-        report.improve.runs, report.improve.improved
-    );
-    for arm in &report.portfolio.arms {
-        if arm.runs == 0 {
-            continue;
-        }
-        println!(
-            "portfolio     {:<9} chosen {}, won {}, runs {}, p50 {}us, p99 {}us",
-            arm.arm,
-            arm.chosen,
-            arm.won,
-            arm.runs,
-            arm.latency_us.quantile(0.5),
-            arm.latency_us.quantile(0.99)
-        );
-    }
-
-    // Machine-readable result: client-side latency summary + the full
-    // server-side report (counters and histograms).
-    let mut w = pcmax::obs::JsonWriter::new();
-    w.begin_object()
-        .field_u64("clients", load.clients as u64)
-        .field_u64("requests", total as u64)
-        .field_u64("degraded", degraded as u64)
-        .key("latency_us")
-        .begin_object()
-        .field_u64("mean", mean.as_micros() as u64)
-        .field_u64("p50", pct(0.5).as_micros() as u64)
-        .field_u64("p90", pct(0.9).as_micros() as u64)
-        .field_u64("p99", pct(0.99).as_micros() as u64)
-        .field_u64("max", pct(1.0).as_micros() as u64)
-        .end_object()
-        // Solution quality: per-reply a-posteriori gap vs the area/max
-        // lower bound, in parts per million — the figure the anytime
-        // improver exists to shrink.
-        .key("gap_ppm")
-        .begin_object()
-        .field_u64("mean", outcome.mean_gap_ppm())
-        .field_u64("p99", outcome.p99_gap_ppm())
-        .end_object()
-        // The sparse engine's frontier behaviour across this service's
-        // cache-missing probes.
-        .key("sparse")
-        .begin_object()
-        .field_u64("solves", report.repr.sparse_probes)
-        .field_u64("settled_cells", report.repr.sparse_settled_cells)
-        .field_u64("pruned", report.repr.sparse_pruned)
-        .end_object()
-        .end_object();
-    let bench = w.finish();
-    let payload = format!(
-        "{{\"bench\":{bench},\"service\":{}}}\n",
-        report.to_json()
-    );
-    fs::write(out_path, payload).map_err(|e| format!("writing {out_path}: {e}"))?;
-    eprintln!("wrote {out_path}");
-
-    if gate {
-        gate_portfolio(args, load, mean)?;
-    }
-    if gate_improve_on {
-        if improve_mode == pcmax::ImproveMode::Off {
-            return Err("--gate-improve needs the improver on (pass --improve greedy)".into());
-        }
-        gate_improve(args, load, &outcome)?;
-    }
-    Ok(())
-}
-
-/// `--gate-improve`: rerun the identical workload with the improver off
-/// and fail when the improved mean gap is not an improvement — equal is
-/// a failure too whenever the unimproved run left any gap to close. The
-/// workload is deterministic (seeded instances, deterministic descent,
-/// caps that bind before the wall clock), so this is a regression gate,
-/// not a flaky benchmark.
-fn gate_improve(
-    args: &[String],
-    load: BenchServeLoad,
-    improved: &BenchServeOutcome,
-) -> Result<(), String> {
-    let mut config = serve_config_from_flags(args)?;
-    config.improve = pcmax::ImproveMode::Off;
-    let baseline = bench_serve_run(config, load)?;
-    let (on, off) = (improved.mean_gap_ppm(), baseline.mean_gap_ppm());
-    eprintln!("gate: improve mean gap {on} ppm vs off {off} ppm (p99 {} vs {})",
-        improved.p99_gap_ppm(), baseline.p99_gap_ppm());
-    if on > off {
-        return Err(format!(
-            "improve gate failed: improver worsened the mean gap ({on} ppm vs {off} ppm off)"
-        ));
-    }
-    if on == off && off > 0 {
-        return Err(format!(
-            "improve gate failed: improver closed none of the {off} ppm mean gap"
-        ));
-    }
-    eprintln!("gate: pass");
-    Ok(())
-}
-
-/// `--gate-portfolio`: rerun the identical workload once per fixed arm
-/// and fail the bench when the auto selector's mean latency exceeds the
-/// *worst* pinned arm's. The selector exists to beat naive pinning, so
-/// costing more than the worst possible pin (with generous slack for CI
-/// jitter) is a regression. The `exact` arm is skipped — it declines
-/// instances above its hard job cap and the default workload is larger.
-fn gate_portfolio(args: &[String], load: BenchServeLoad, auto_mean: Duration) -> Result<(), String> {
-    use pcmax::serve::{Arm, PortfolioPolicy};
-    let mut worst_fixed = Duration::ZERO;
-    let mut worst_arm = "";
-    for arm in Arm::ALL.into_iter().filter(|&arm| arm != Arm::Exact) {
-        let mut config = serve_config_from_flags(args)?;
-        config.portfolio = PortfolioPolicy::Fixed(arm);
-        let mean = bench_serve_run(config, load)?.mean_latency();
-        eprintln!("gate: fixed:{:<9} mean {mean:.1?}", arm.name());
-        if mean > worst_fixed {
-            worst_fixed = mean;
-            worst_arm = arm.name();
-        }
-    }
-    // Lenient threshold: loopback latencies at this scale are noisy, and
-    // the gate should only trip on a genuinely pathological selector.
-    let limit = worst_fixed * 3 / 2 + Duration::from_millis(50);
-    eprintln!(
-        "gate: auto mean {auto_mean:.1?} vs worst fixed arm ({worst_arm}) {worst_fixed:.1?}, limit {limit:.1?}"
-    );
-    if auto_mean > limit {
-        return Err(format!(
-            "portfolio gate failed: auto policy mean {auto_mean:.1?} exceeds \
-             1.5x the worst fixed arm ({worst_arm}, {worst_fixed:.1?}) + 50ms"
-        ));
-    }
-    eprintln!("gate: pass");
     Ok(())
 }
 

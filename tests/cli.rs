@@ -296,23 +296,3 @@ fn nary_strategy_solves_and_bad_variants_fail() {
         assert!(!out.status.success(), "strategy `{bad}` should be rejected");
     }
 }
-
-#[test]
-fn bench_serve_reports_cache_hit_rate() {
-    let out = pcmax()
-        .args([
-            "bench-serve",
-            "--clients", "2",
-            "--requests", "4",
-            "--distinct", "2",
-            "--jobs", "20",
-            "--machines", "3",
-        ])
-        .output()
-        .expect("run bench-serve");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("latency"), "{stdout}");
-    assert!(stdout.contains("hit rate"), "{stdout}");
-    assert!(stdout.contains("8 accepted"), "{stdout}");
-}

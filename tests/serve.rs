@@ -1,19 +1,78 @@
 //! End-to-end tests of the solver service over real loopback TCP:
-//! concurrent clients, cache warm-up across repeated instances, and
-//! deadline degradation — all through the wire protocol, not the
-//! in-process API.
+//! concurrent clients, cache warm-up across repeated instances,
+//! deadline degradation, and the portfolio and improver gates — all
+//! through the wire protocol, not the in-process API.
 
 use pcmax::core::gen::uniform;
-use pcmax::serve::{serve_tcp, Client};
-use pcmax::{ServeConfig, Service};
+use pcmax::serve::{serve_tcp, Client, ClientReply, ServiceReport};
+use pcmax::{Instance, ServeConfig, Service};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn start_service(config: ServeConfig) -> (Arc<Service>, std::net::SocketAddr, pcmax::serve::TcpHandle) {
     let service = Service::start(config);
     let handle = serve_tcp(Arc::clone(&service), "127.0.0.1:0").expect("bind loopback");
     let addr = handle.local_addr();
     (service, addr, handle)
+}
+
+/// One answered request of a [`drive_pool`] load.
+struct Sample {
+    /// Index into the pool of the instance that was sent.
+    instance: usize,
+    /// Client-side round trip.
+    latency: Duration,
+    reply: ClientReply,
+}
+
+/// Starts a fresh service from `config` and drives it over loopback:
+/// `clients` concurrent connections each send `requests` solves (ε 0.3,
+/// 2 s deadline), cycling through `pool` so repeats hit the DP cache.
+/// Every reply's assignment must realise its reported makespan. Returns
+/// the samples and the service's final report.
+fn drive_pool(
+    config: ServeConfig,
+    clients: usize,
+    requests: usize,
+    pool: &[Instance],
+) -> (Vec<Sample>, ServiceReport) {
+    let (service, addr, handle) = start_service(config);
+    let samples = std::thread::scope(|s| {
+        let threads: Vec<_> = (0..clients)
+            .map(|c| {
+                s.spawn(move || {
+                    let mut client = Client::connect(addr).expect("connect");
+                    (0..requests)
+                        .map(|r| {
+                            let instance = (c * requests + r) % pool.len();
+                            let inst = &pool[instance];
+                            let start = Instant::now();
+                            let reply = client
+                                .solve(inst, Some(0.3), Some(Duration::from_secs(2)))
+                                .expect("solve");
+                            let latency = start.elapsed();
+                            let makespan = reply.schedule.validate(inst).expect("valid schedule");
+                            assert_eq!(makespan, reply.makespan, "server-reported makespan");
+                            Sample { instance, latency, reply }
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        threads
+            .into_iter()
+            .flat_map(|t| t.join().expect("client thread"))
+            .collect::<Vec<_>>()
+    });
+    let report = service.report();
+    handle.shutdown();
+    service.shutdown();
+    (samples, report)
+}
+
+fn mean_gap_ppm(samples: &[Sample]) -> u64 {
+    let sum: u128 = samples.iter().map(|s| s.reply.gap_ppm as u128).sum();
+    (sum / samples.len() as u128) as u64
 }
 
 #[test]
@@ -355,58 +414,113 @@ fn auto_service_is_deterministic_and_its_counters_reconcile() {
 }
 
 #[test]
+fn auto_portfolio_never_costs_more_than_the_worst_pinned_arm() {
+    use pcmax::serve::{Arm, PortfolioPolicy};
+
+    // The selector exists to beat naive pinning, so costing more than
+    // the worst possible pin is a regression. The same load runs under
+    // `auto` and once per fixed arm; `exact` is skipped because it
+    // declines instances above its job cap and these have 20 jobs.
+    let pool: Vec<_> = (0..2).map(|s| uniform(s, 20, 3, 1, 100)).collect();
+    let run = |portfolio| {
+        let config = ServeConfig {
+            portfolio,
+            ..ServeConfig::default()
+        };
+        let (samples, report) = drive_pool(config, 2, 8, &pool);
+        let arms: Vec<_> = report.portfolio.arms.iter().map(|a| a.arm.as_str()).collect();
+        let names: Vec<_> = Arm::ALL.iter().map(|a| a.name()).collect();
+        assert_eq!(arms, names, "one portfolio entry per arm");
+        assert_eq!(report.accepted, 16);
+        match portfolio {
+            // Repeats over the 2-instance pool answer from the DP cache.
+            PortfolioPolicy::Auto => assert!(report.cache.hits > 0, "{:?}", report.cache),
+            PortfolioPolicy::Fixed(arm) => {
+                let pinned = &report.portfolio.arms[Arm::ALL.iter().position(|&a| a == arm).unwrap()];
+                assert_eq!(pinned.chosen, 16, "fixed:{} picks its arm for every request", arm.name());
+            }
+        }
+        samples.iter().map(|s| s.latency).sum::<Duration>() / samples.len() as u32
+    };
+
+    let auto = run(PortfolioPolicy::Auto);
+    let (worst_arm, worst) = Arm::ALL
+        .into_iter()
+        .filter(|&arm| arm != Arm::Exact)
+        .map(|arm| (arm.name(), run(PortfolioPolicy::Fixed(arm))))
+        .max_by_key(|&(_, mean)| mean)
+        .expect("at least one fixed arm");
+    // Lenient on purpose: loopback latencies at this scale are noisy,
+    // and the gate should only trip on a pathological selector.
+    let limit = worst * 3 / 2 + Duration::from_millis(50);
+    assert!(
+        auto <= limit,
+        "auto mean {auto:?} exceeds 1.5x the worst fixed arm ({worst_arm}, {worst:?}) + 50ms"
+    );
+}
+
+#[test]
 fn improver_replies_round_trip_assignments_and_tighten_the_gap() {
-    // Pinned to LPT-revisited: deterministic, and on this instance its
-    // answer is not move/swap-local-optimal — so the improved run below
-    // can demand a *strict* gap win over the plain run, not just
-    // monotonicity.
-    let inst = uniform(1, 40, 6, 1, 100);
+    // Pinned to LPT-revisited: deterministic, and on this pool its
+    // answers are not all move/swap-local-optimal — so the improved run
+    // below can demand a *strict* mean-gap win over the plain run, not
+    // just monotonicity.
+    let pool: Vec<_> = (0..4).map(|s| uniform(s, 40, 6, 1, 100)).collect();
     let base = ServeConfig {
         portfolio: "fixed:lptrev".parse().expect("policy"),
         ..ServeConfig::default()
     };
 
-    let (service, addr, handle) = start_service(base.clone());
-    let mut client = Client::connect(addr).expect("connect");
-    let plain = client
-        .solve(&inst, Some(0.3), Some(Duration::from_secs(10)))
-        .expect("solve");
-    let plain_ms = plain.schedule.validate(&inst).expect("valid schedule");
-    assert_eq!(plain_ms, plain.makespan, "assignment must realise the reported makespan");
-    assert_eq!(
-        plain.gap_ppm,
-        pcmax::Guarantee::gap_ppm(plain.makespan, pcmax::lower_bound(&inst)),
-        "gap_ppm travels the wire even with the improver off"
-    );
-    assert_eq!(service.report().improve.runs, 0, "the improver defaults to off");
-    handle.shutdown();
-    service.shutdown();
+    let (plain, report) = drive_pool(base.clone(), 2, 8, &pool);
+    for s in &plain {
+        assert_eq!(
+            s.reply.gap_ppm,
+            pcmax::Guarantee::gap_ppm(s.reply.makespan, pcmax::lower_bound(&pool[s.instance])),
+            "gap_ppm travels the wire even with the improver off"
+        );
+    }
+    assert_eq!(report.improve.runs, 0, "the improver defaults to off");
 
-    let (service, addr, handle) = start_service(ServeConfig {
-        improve: pcmax::ImproveMode::Greedy,
-        improve_budget: Duration::from_millis(50),
-        ..base
-    });
-    let mut client = Client::connect(addr).expect("connect");
-    let refined = client
-        .solve(&inst, Some(0.3), Some(Duration::from_secs(10)))
-        .expect("solve");
-    let refined_ms = refined.schedule.validate(&inst).expect("valid refined schedule");
-    assert_eq!(refined_ms, refined.makespan, "refined assignment round-trips the wire");
-    assert!(
-        refined.makespan < plain.makespan,
-        "descent must strictly improve LPT-revisited here ({} vs {})",
-        refined.makespan,
-        plain.makespan
+    // The 50 ms budget is headroom: the descent's round cap, not the
+    // clock, ends each refinement, in a debug build too.
+    let (refined, report) = drive_pool(
+        ServeConfig {
+            improve: pcmax::ImproveMode::Greedy,
+            improve_budget: Duration::from_millis(50),
+            ..base
+        },
+        2,
+        8,
+        &pool,
     );
-    assert!(refined.gap_ppm < plain.gap_ppm, "{} vs {}", refined.gap_ppm, plain.gap_ppm);
-    // A-posteriori tightening only ever shrinks the certificate.
-    assert!(refined.guarantee.ratio() <= plain.guarantee.ratio());
-    let report = service.report();
-    assert_eq!(report.improve.runs, 1);
-    assert_eq!(report.improve.improved, 1);
-    handle.shutdown();
-    service.shutdown();
+    let plain_reply = |i: usize| &plain.iter().find(|s| s.instance == i).expect("sent").reply;
+    let mut improved = 0;
+    for s in &refined {
+        let before = plain_reply(s.instance);
+        assert!(s.reply.makespan <= before.makespan, "the improver never worsens an answer");
+        // A-posteriori tightening only ever shrinks the certificate.
+        assert!(s.reply.guarantee.ratio() <= before.guarantee.ratio());
+        improved += u64::from(s.reply.makespan < before.makespan);
+    }
+    let (after, before) = (
+        &refined.iter().find(|s| s.instance == 1).expect("sent").reply,
+        plain_reply(1),
+    );
+    assert!(
+        after.makespan < before.makespan,
+        "descent must strictly improve LPT-revisited on instance 1 ({} vs {})",
+        after.makespan,
+        before.makespan
+    );
+    assert!(after.gap_ppm < before.gap_ppm, "{} vs {}", after.gap_ppm, before.gap_ppm);
+    assert_eq!(report.improve.runs, 16);
+    assert_eq!(report.improve.improved, improved);
+
+    // The gate: whenever the plain answers leave a gap, the improver
+    // must close some of it on average.
+    let (on, off) = (mean_gap_ppm(&refined), mean_gap_ppm(&plain));
+    assert!(on <= off, "improver worsened the mean gap ({on} ppm vs {off} ppm off)");
+    assert!(off == 0 || on < off, "improver closed none of the {off} ppm mean gap");
 }
 
 #[test]
