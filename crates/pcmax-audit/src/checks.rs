@@ -13,7 +13,7 @@ use pcmax_ptas::rounding::{Rounding, RoundingOutcome};
 use pcmax_ptas::search::{self, interval};
 use pcmax_ptas::{Ptas, SearchStrategy};
 use pcmax_serve::solver::{solve_cached, DpCache, ReprPolicy, SolverOptions};
-use pcmax_serve::{solve_portfolio, Arm, PortfolioCounters, PortfolioPolicy};
+use pcmax_serve::{descended_net, solve_portfolio, Arm, PortfolioCounters, PortfolioPolicy};
 use pcmax_sparse::SparseError;
 use pcmax_serve::WarmTier;
 use pcmax_store::{StoreBudget, StoreConfig, StoreError, TieredStore};
@@ -154,8 +154,10 @@ pub fn check_search_agreement(inst: &Instance, ctx: &mut CheckCtx<'_>) {
 }
 
 /// The serve layer's cache-backed bisection runs the search over
-/// `DpKey`-canonicalised probes; its converged target must match the
-/// plain search and its schedule must be valid.
+/// `DpKey`-canonicalised probes, bounded above by the PTAS arm's
+/// descended net as in the real serve path. Its converged target must
+/// match the plain search, its schedule must be valid, and its reply
+/// must never be worse than the net it was given.
 pub fn check_serve_solver(inst: &Instance, ctx: &mut CheckCtx<'_>) {
     ctx.bump();
     // Skip when even a single probe's table would blow the budget; the
@@ -166,7 +168,8 @@ pub fn check_serve_solver(inst: &Instance, ctx: &mut CheckCtx<'_>) {
         max_table_cells: ctx.max_table_cells,
         ..SolverOptions::default()
     };
-    match solve_cached(inst, ctx.k, &opts, &cache, None, None) {
+    let net = descended_net(inst, None, None, &PortfolioCounters::default());
+    match solve_cached(inst, ctx.k, &opts, &cache, None, None, Some(&net.schedule)) {
         Ok(outcome) => {
             let reference = search::run(inst, ctx.k, DpEngine::Sequential, 1);
             if outcome.target != reference.target {
@@ -179,6 +182,10 @@ pub fn check_serve_solver(inst: &Instance, ctx: &mut CheckCtx<'_>) {
                 );
             }
             match outcome.schedule.validate(inst) {
+                Ok(ms) if ms > net.makespan => ctx.diverge(
+                    "serve-net-floor",
+                    format!("reply makespan {ms} worse than the net's {}", net.makespan),
+                ),
                 Ok(_) => {}
                 Err(e) => ctx.diverge("serve-schedule", format!("invalid schedule: {e}")),
             }
@@ -604,7 +611,7 @@ pub fn check_warm_rehydrate(inst: &Instance, ctx: &mut CheckCtx<'_>) {
         max_table_cells: ctx.max_table_cells,
         ..SolverOptions::default()
     };
-    let first = match solve_cached(inst, ctx.k, &opts, &cache, Some(&warm), None) {
+    let first = match solve_cached(inst, ctx.k, &opts, &cache, Some(&warm), None, None) {
         Ok(outcome) => outcome,
         Err(_) => {
             // Table over budget: capacity, not correctness.
@@ -622,7 +629,7 @@ pub fn check_warm_rehydrate(inst: &Instance, ctx: &mut CheckCtx<'_>) {
         }
     };
     let fresh = DpCache::new(2, 64 << 10);
-    match solve_cached(inst, ctx.k, &opts, &fresh, Some(&warm), None) {
+    match solve_cached(inst, ctx.k, &opts, &fresh, Some(&warm), None, None) {
         Ok(second) => {
             if second.cache_misses != 0 {
                 ctx.diverge(
@@ -688,7 +695,9 @@ pub fn check_warmsync(inst: &Instance, ctx: &mut CheckCtx<'_>) {
         max_table_cells: ctx.max_table_cells,
         ..SolverOptions::default()
     };
-    if solve_cached(inst, ctx.k, &opts, &cache, Some(&owner), None).is_err() {
+    // No net: with one, most small cases converge without a DP and ship
+    // nothing, and this check's subject is the shipping of DP entries.
+    if solve_cached(inst, ctx.k, &opts, &cache, Some(&owner), None, None).is_err() {
         // Table over budget: capacity, not correctness.
         let _ = std::fs::remove_dir_all(&owner_dir);
         return;

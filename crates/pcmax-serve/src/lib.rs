@@ -43,7 +43,7 @@ pub mod warm;
 pub use cache::ShardedCache;
 pub use client::{Client, ClientError, ClientReply};
 pub use portfolio::{
-    solve_portfolio, Arm, PortfolioCounters, PortfolioOutcome, PortfolioPolicy,
+    descended_net, solve_portfolio, Arm, PortfolioCounters, PortfolioOutcome, PortfolioPolicy,
 };
 pub use service::{
     heuristic_best, PendingSolve, ServeConfig, ServeError, Service, SolveRequest, SolveResponse,

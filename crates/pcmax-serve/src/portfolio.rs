@@ -8,9 +8,14 @@
 //! | `lptrev`   | LPT-revisited (split-and-solve)   | critical-index refinement |
 //! | `multifit` | MULTIFIT, 10 FFD iterations       | 13/11 + interval residue  |
 //! | `exact`    | branch-and-bound (tiny `n` only)  | 1/1                       |
-//! | `ptas`     | cache-backed PTAS                 | `1 + 1/k + 1/k²` + 2      |
+//! | `ptas`     | descended net, then cache-backed  | `1 + 1/k + 1/k²` + 2, or  |
+//! |            | PTAS on `[LB, min(UB, U)]`; reply | `ms/T*` when tighter      |
+//! |            | floored by the net                | (`T*` certifies `≤ OPT`)  |
 //!
-//! The `ptas` arm's table representation (dense, sparse frontier, or
+//! The `ptas` arm runs [`descended_net`] first (U is its makespan): U
+//! bounds the search, the net answers outright when the search converges
+//! on U, and it answers for the arm, flagged `degraded`, when the arm
+//! fails. The arm's table representation (dense, sparse frontier, or
 //! paged) is not an arm choice: [`crate::solver`] plans it per probe
 //! under [`crate::solver::ReprPolicy`].
 //!
@@ -30,6 +35,8 @@ use crate::warm::WarmTier;
 use pcmax_core::exact::brute_force_schedule;
 use pcmax_core::heuristics::{lpt_revisited, multifit_with_guarantee};
 use pcmax_core::{bounds, Guarantee, Instance, Schedule};
+use pcmax_improve::descent::descend;
+use pcmax_improve::{ImproveConfig, ImproveStats};
 use pcmax_obs::Histogram;
 use std::fmt;
 use std::str::FromStr;
@@ -285,56 +292,58 @@ fn select(f: &InstanceFeatures, budget_us: Option<u64>) -> Selection {
     }
 }
 
-/// Runs one arm. The exact and PTAS arms may fail (job cap, deadline,
-/// admission); the heuristic arms never do.
-fn run_arm(
-    arm: Arm,
+/// Runs the exact arm, which declines (the caller degrades) above
+/// [`EXACT_HARD_MAX_JOBS`] or past the deadline.
+fn run_exact(inst: &Instance, deadline: Option<Instant>) -> Result<PortfolioOutcome, Degrade> {
+    if inst.num_jobs() > EXACT_HARD_MAX_JOBS {
+        // The arm declines rather than blowing the latency budget on an
+        // exponential search.
+        return Err(Degrade::TableTooLarge { cells: usize::MAX });
+    }
+    if deadline.is_some_and(|d| Instant::now() >= d) {
+        return Err(Degrade::DeadlineExceeded);
+    }
+    let schedule = brute_force_schedule(inst);
+    Ok(PortfolioOutcome::heuristic(
+        inst,
+        schedule,
+        Arm::Exact,
+        Guarantee::EXACT,
+    ))
+}
+
+/// Runs the PTAS arm on top of the already computed descended `net`:
+/// the net's makespan bounds the cache-backed search and floors the
+/// reply (see [`solve_cached`]). The certificate is the PTAS envelope or
+/// the a-posteriori ratio against the converged target, whichever is
+/// tighter: `T*` is a certified lower bound (every probe below it was
+/// infeasible), so a net answer at `T* = U` is exact.
+#[allow(clippy::too_many_arguments)]
+fn run_ptas(
     inst: &Instance,
     k: u64,
     opts: &SolverOptions,
     cache: &DpCache,
     warm: Option<&WarmTier>,
     deadline: Option<Instant>,
+    net: &PortfolioOutcome,
 ) -> Result<PortfolioOutcome, Degrade> {
-    match arm {
-        Arm::LptRev | Arm::Multifit => Ok(run_heuristic(arm, inst)),
-        Arm::Exact => {
-            if inst.num_jobs() > EXACT_HARD_MAX_JOBS {
-                // The arm declines rather than blowing the latency
-                // budget on an exponential search; the caller degrades.
-                return Err(Degrade::TableTooLarge { cells: usize::MAX });
-            }
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                return Err(Degrade::DeadlineExceeded);
-            }
-            let schedule = brute_force_schedule(inst);
-            Ok(PortfolioOutcome::heuristic(
-                inst,
-                schedule,
-                Arm::Exact,
-                Guarantee::EXACT,
-            ))
-        }
-        Arm::Ptas => {
-            let out = solve_cached(inst, k, opts, cache, warm, deadline)?;
-            let makespan = out.schedule.makespan(inst);
-            let guarantee = Guarantee::ptas(k)
-                .tighter(Guarantee::a_posteriori(makespan, bounds::lower_bound(inst)));
-            Ok(PortfolioOutcome {
-                schedule: out.schedule,
-                makespan,
-                target: Some(out.target),
-                machines_used: Some(out.machines_used),
-                engine: EngineUsed::Ptas,
-                guarantee,
-                arm,
-                degraded: false,
-                cache_hits: out.cache_hits,
-                cache_misses: out.cache_misses,
-                repr: out.repr,
-            })
-        }
-    }
+    let out = solve_cached(inst, k, opts, cache, warm, deadline, Some(&net.schedule))?;
+    let makespan = out.schedule.makespan(inst);
+    let guarantee = Guarantee::ptas(k).tighter(Guarantee::a_posteriori(makespan, out.target));
+    Ok(PortfolioOutcome {
+        schedule: out.schedule,
+        makespan,
+        target: Some(out.target),
+        machines_used: out.machines_used,
+        engine: EngineUsed::Ptas,
+        guarantee,
+        arm: Arm::Ptas,
+        degraded: false,
+        cache_hits: out.cache_hits,
+        cache_misses: out.cache_misses,
+        repr: out.repr,
+    })
 }
 
 /// Runs a heuristic arm: LPT-revisited for [`Arm::LptRev`], MULTIFIT
@@ -378,6 +387,39 @@ pub(crate) fn heuristic_net(
     }
 }
 
+/// The PTAS arm's net: [`heuristic_net`], then the move/swap descent
+/// until a local optimum or `ImproveConfig::default()`'s round cap. The
+/// request deadline is only a safety stop, so the net is deterministic
+/// per instance. The descent never worsens its input, so the heuristic's
+/// certificate still holds; the a-posteriori ratio against LB may be
+/// tighter.
+pub fn descended_net(
+    inst: &Instance,
+    budget_us: Option<u64>,
+    deadline: Option<Instant>,
+    counters: &PortfolioCounters,
+) -> PortfolioOutcome {
+    let net = heuristic_net(inst, budget_us, counters);
+    // Without a deadline the round cap alone stops the descent.
+    let stop = deadline.unwrap_or_else(|| Instant::now() + Duration::from_secs(3600));
+    let schedule = descend(
+        inst,
+        &net.schedule,
+        stop,
+        ImproveConfig::default().max_descent_rounds,
+        &mut ImproveStats::default(),
+    );
+    let makespan = schedule.makespan(inst);
+    PortfolioOutcome {
+        guarantee: net
+            .guarantee
+            .tighter(Guarantee::a_posteriori(makespan, bounds::lower_bound(inst))),
+        schedule,
+        makespan,
+        ..net
+    }
+}
+
 /// Answers one request under the portfolio policy. Never fails: every
 /// path ends in an answer (worst case the heuristic net, flagged
 /// `degraded`).
@@ -393,16 +435,32 @@ pub fn solve_portfolio(
     counters: &PortfolioCounters,
 ) -> PortfolioOutcome {
     let budget_us = deadline.map(|d| micros(d.saturating_duration_since(Instant::now())));
+    let degraded = |net: PortfolioOutcome| PortfolioOutcome {
+        degraded: true,
+        ..net
+    };
     // The one fallback: the picked arm answers, or — when it fails —
     // the heuristic net does, flagged `degraded`.
     let run_or_net = |arm: Arm| {
         counters.note_chosen(arm);
-        let answer = counters
-            .time_run(arm, || run_arm(arm, inst, k, opts, cache, warm, deadline))
-            .unwrap_or_else(|_| PortfolioOutcome {
-                degraded: true,
-                ..heuristic_net(inst, budget_us, counters)
-            });
+        let answer = match arm {
+            Arm::LptRev | Arm::Multifit => counters.time_run(arm, || run_heuristic(arm, inst)),
+            Arm::Exact => counters
+                .time_run(arm, || run_exact(inst, deadline))
+                .unwrap_or_else(|_| degraded(heuristic_net(inst, budget_us, counters))),
+            Arm::Ptas => {
+                // The descended net runs first, inside the arm: it bounds
+                // the search, floors the reply and, if the arm fails,
+                // answers for it — so it never runs twice.
+                let mut net = None;
+                counters
+                    .time_run(arm, || {
+                        let net = net.insert(descended_net(inst, budget_us, deadline, counters));
+                        run_ptas(inst, k, opts, cache, warm, deadline, net)
+                    })
+                    .unwrap_or_else(|_| degraded(net.expect("the net runs before the search")))
+            }
+        };
         counters.note_won(answer.arm);
         answer
     };
@@ -632,6 +690,122 @@ mod tests {
         let report = counters.report();
         assert_eq!(report.arms[Arm::Exact.idx()].chosen, 1);
         assert_eq!(report.arms[Arm::Exact.idx()].won, 0);
+    }
+
+    fn ptas_arm(
+        inst: &Instance,
+        opts: &SolverOptions,
+        deadline: Option<Instant>,
+    ) -> (PortfolioOutcome, PortfolioCounters) {
+        let (cache, counters) = fresh();
+        let out = solve_portfolio(
+            inst,
+            4,
+            opts,
+            &cache,
+            None,
+            deadline,
+            PortfolioPolicy::Fixed(Arm::Ptas),
+            &counters,
+        );
+        (out, counters)
+    }
+
+    /// The dp-dense shape: 36 jobs, 12 machines, U[30, 100].
+    fn dp_dense(seed: u64) -> Instance {
+        uniform(seed, 36, 12, 30, 100)
+    }
+
+    #[test]
+    fn ptas_reply_is_never_worse_than_lpt_revisited_or_the_plain_assembly() {
+        let pool = (0..8)
+            .map(dp_dense)
+            .chain((0..4).map(|s| uniform(s, 24, 3, 1, 50)))
+            .chain((0..4).map(|s| uniform(s, 12, 6, 50, 100)))
+            .chain((0..4).map(|s| uniform(s, 40, 6, 1, 100)));
+        for inst in pool {
+            let (out, _) = ptas_arm(&inst, &seq(), None);
+            assert!(!out.degraded);
+            assert_eq!(out.arm, Arm::Ptas);
+            assert_eq!(out.schedule.validate(&inst).unwrap(), out.makespan);
+            assert!(out.makespan <= lpt_revisited(&inst).schedule.makespan(&inst));
+            let cache = DpCache::new(4, 64 << 10);
+            let plain = solve_cached(&inst, 4, &seq(), &cache, None, None, None).unwrap();
+            assert!(out.makespan <= plain.schedule.makespan(&inst));
+            // The converged target is a certified lower bound.
+            let target = out.target.unwrap();
+            assert!(target <= out.makespan);
+            assert!(out.guarantee.holds(out.makespan, target));
+        }
+    }
+
+    #[test]
+    fn a_net_at_the_lower_bound_answers_without_probing() {
+        let inst = uniform(0, 20, 3, 1, 40);
+        let lb = bounds::lower_bound(&inst);
+        let net = descended_net(&inst, None, None, &PortfolioCounters::default());
+        assert_eq!(net.makespan, lb, "premise: the net reaches LB");
+        let (out, _) = ptas_arm(&inst, &seq(), None);
+        assert_eq!(out.cache_hits + out.cache_misses, 0, "no probe may run");
+        assert_eq!((out.makespan, out.target), (lb, Some(lb)));
+        assert_eq!(out.machines_used, None);
+        assert_eq!(out.guarantee, Guarantee::EXACT);
+        assert_eq!(out.schedule, net.schedule);
+    }
+
+    #[test]
+    fn a_search_converging_on_the_net_skips_the_assembly_probe() {
+        // LB = ⌈10/2⌉ = 5 but OPT = 6, and at T = 5 the rounded jobs
+        // still cannot pair up, so the search converges on the net's
+        // U = 6. Every probe was then infeasible: the probes are exactly
+        // the rounds of an all-infeasible search on [LB, U], one fewer
+        // than with the assembly probe.
+        let inst = Instance::new(vec![4, 3, 3], 2);
+        let (lb, u) = (bounds::lower_bound(&inst), 6);
+        assert_eq!(descended_net(&inst, None, None, &PortfolioCounters::default()).makespan, u);
+        let (out, _) = ptas_arm(&inst, &seq(), None);
+        let mut rounds = 0u64;
+        let _ = pcmax_ptas::search::converge(lb, u, 1, |_, _, t| {
+            rounds += t.len() as u64;
+            Ok::<_, ()>(vec![false; t.len()])
+        });
+        assert!(lb < u && rounds > 0);
+        assert_eq!(out.target, Some(u));
+        assert_eq!(out.cache_hits + out.cache_misses, rounds);
+        assert_eq!(out.makespan, u);
+        assert_eq!(out.machines_used, None, "the net answered, not the assembly");
+        assert_eq!(out.guarantee, Guarantee::EXACT, "T* = U certifies the net optimal");
+    }
+
+    #[test]
+    fn a_failed_ptas_arm_answers_with_its_descended_net_once() {
+        let runs = |c: &PortfolioCounters, arm: Arm| c.report().arms[arm.idx()].runs;
+        // Expired deadline: no budget, so the net runs one heuristic.
+        let inst = dp_dense(1);
+        let past = Instant::now() - Duration::from_millis(1);
+        let (out, counters) = ptas_arm(&inst, &seq(), Some(past));
+        assert!(out.degraded);
+        assert!(matches!(out.arm, Arm::LptRev | Arm::Multifit));
+        let net = descended_net(&inst, Some(0), Some(past), &PortfolioCounters::default());
+        assert_eq!(out.schedule, net.schedule);
+        assert_eq!(runs(&counters, Arm::LptRev) + runs(&counters, Arm::Multifit), 1);
+        assert_eq!(runs(&counters, Arm::Ptas), 1);
+
+        // Over budget: no representation fits 8 cells, and the net sits
+        // above LB, so the search must probe and the arm fails.
+        let inst = uniform(2, 12, 6, 50, 100);
+        let opts = SolverOptions {
+            max_table_cells: 8,
+            ..seq()
+        };
+        let net = descended_net(&inst, None, None, &PortfolioCounters::default());
+        assert!(net.makespan > bounds::lower_bound(&inst), "premise: the search probes");
+        let (out, counters) = ptas_arm(&inst, &opts, None);
+        assert!(out.degraded);
+        assert_eq!((out.arm, &out.schedule), (net.arm, &net.schedule));
+        assert!(out.makespan <= heuristic_net(&inst, None, &PortfolioCounters::default()).makespan);
+        assert_eq!(runs(&counters, Arm::LptRev), 1, "the net never runs twice");
+        assert_eq!(runs(&counters, Arm::Multifit), 1, "the net never runs twice");
     }
 
     #[test]

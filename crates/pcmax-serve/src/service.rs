@@ -758,6 +758,21 @@ mod tests {
         }
     }
 
+    /// The dp-dense shape (36 jobs, 12 machines, U[30, 100]): the
+    /// descended net rarely proves itself optimal at LB there, so a cold
+    /// solve runs a DP. Tests about the DP cache assert that premise.
+    fn dp_instance(seed: u64) -> Instance {
+        uniform(seed, 36, 12, 30, 100)
+    }
+
+    fn dp_request(seed: u64) -> SolveRequest {
+        SolveRequest {
+            instance: dp_instance(seed),
+            epsilon: None,
+            deadline: None,
+        }
+    }
+
     #[test]
     fn solves_and_validates() {
         let service = Service::start(ServeConfig {
@@ -827,7 +842,7 @@ mod tests {
             workers: 1,
             ..ServeConfig::default()
         });
-        let inst = uniform(3, 16, 4, 10, 60);
+        let inst = dp_instance(3);
         let res = a
             .solve_blocking(SolveRequest {
                 instance: inst.clone(),
@@ -836,6 +851,7 @@ mod tests {
             })
             .unwrap();
         assert!(!res.degraded);
+        assert!(res.stats.cache_misses > 0, "premise: the solve runs a DP");
         res.schedule.validate(&inst).unwrap();
         let repr = a.report().repr;
         assert!(repr.sparse_probes > 0, "{repr:?}");
@@ -851,9 +867,9 @@ mod tests {
             workers: 1,
             ..ServeConfig::default()
         });
-        let cold = service.solve_blocking(request(2)).unwrap();
-        assert!(cold.stats.cache_misses > 0);
-        let warm = service.solve_blocking(request(2)).unwrap();
+        let cold = service.solve_blocking(dp_request(2)).unwrap();
+        assert!(cold.stats.cache_misses > 0, "premise: the cold solve runs a DP");
+        let warm = service.solve_blocking(dp_request(2)).unwrap();
         assert!(warm.stats.cache_hits > 0);
         assert_eq!(warm.stats.cache_misses, 0);
         assert_eq!(cold.makespan, warm.makespan);
@@ -943,8 +959,8 @@ mod tests {
         };
         {
             let service = Service::start(config.clone());
-            let cold = service.solve_blocking(request(8)).unwrap();
-            assert!(cold.stats.cache_misses > 0);
+            let cold = service.solve_blocking(dp_request(8)).unwrap();
+            assert!(cold.stats.cache_misses > 0, "premise: the cold solve runs a DP");
             let store = service.store_report();
             assert!(store.appends > 0, "misses must be persisted");
             assert_eq!(store.rehydrated, 0);
@@ -953,7 +969,7 @@ mod tests {
         let service = Service::start(config);
         let report = service.store_report();
         assert!(report.rehydrated > 0, "restart must rehydrate the log");
-        let rehydrated = service.solve_blocking(request(8)).unwrap();
+        let rehydrated = service.solve_blocking(dp_request(8)).unwrap();
         assert_eq!(
             rehydrated.stats.cache_misses, 0,
             "restarted worker must answer from disk, not recompute"
@@ -1015,8 +1031,8 @@ mod tests {
                 let svc = Arc::clone(&service);
                 std::thread::spawn(move || {
                     // 4 distinct instances, each requested twice.
-                    let res = svc.solve_blocking(request(i % 4)).unwrap();
-                    let inst = uniform(i % 4, 20, 3, 1, 40);
+                    let res = svc.solve_blocking(dp_request(i % 4)).unwrap();
+                    let inst = dp_instance(i % 4);
                     assert_eq!(res.schedule.validate(&inst).unwrap(), res.makespan);
                 })
             })
@@ -1026,6 +1042,7 @@ mod tests {
         }
         let report = service.report();
         assert_eq!(report.completed, 8);
+        assert!(report.cache.misses > 0, "premise: cold solves run a DP");
         assert!(report.cache.hits > 0, "repeats must hit the cache");
         service.shutdown();
     }

@@ -22,7 +22,7 @@ use pcmax_ptas::ptas::assemble_schedule;
 use pcmax_ptas::rounding::{Rounding, RoundingOutcome};
 use pcmax_ptas::search::{self, interval};
 use pcmax_ptas::{DpEngine, DpKey, DpProblem};
-use pcmax_sparse::{PlannedRepr, SparseError};
+use pcmax_sparse::{PlannedRepr, SparseError, SparsePrediction};
 use pcmax_store::{ScratchDir, StoreBudget, StoreConfig, StoreStats, TieredStore};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -159,12 +159,15 @@ impl ReprCounts {
 /// A completed cache-backed PTAS solve.
 #[derive(Debug, Clone)]
 pub struct SolveOutcome {
-    /// Valid schedule of all jobs.
+    /// Valid schedule of all jobs: the PTAS assembly, or the caller's net
+    /// when that is strictly better or proven optimal.
     pub schedule: Schedule,
-    /// Converged target `T*`.
+    /// Converged target `T*`, a certified lower bound: every probe below
+    /// it was infeasible, and rounding only shrinks loads, so `T* ≤ OPT`.
     pub target: u64,
-    /// Machines the DP used for the long jobs.
-    pub machines_used: usize,
+    /// Machines the DP used for the long jobs — `None` when the net
+    /// answered.
+    pub machines_used: Option<usize>,
     /// Probes answered from the shared cache.
     pub cache_hits: u64,
     /// Probes that ran the DP.
@@ -225,7 +228,7 @@ pub fn probe_features(inst: &Instance, k: u64, opts: &SolverOptions) -> Instance
         RoundingOutcome::Rounded(r) => {
             let problem = DpProblem::from_rounding(&r);
             let p = problem.predict_sparse();
-            (p.dense_cells, p.est_sparse_cells, plan_repr(&problem, opts).ok())
+            (p.dense_cells, p.est_sparse_cells, plan_repr(&problem, &p, opts).ok())
         }
     };
     let est_probes = 64 - (ub - lb).leading_zeros() + 1;
@@ -272,12 +275,16 @@ struct ProbeOutcome {
     configs: Option<Arc<Vec<Vec<usize>>>>,
 }
 
-/// Plans the representation for one problem under the options' policy.
-/// `Err` when every admitted representation exceeds the cell budget —
-/// checked *before* the cache so admission control is representation-
-/// aware even on the hit path.
-fn plan_repr(problem: &DpProblem, opts: &SolverOptions) -> Result<PlannedRepr, Degrade> {
-    let prediction = problem.predict_sparse();
+/// Plans the representation for one problem under the options' policy,
+/// from the caller's `prediction` (`problem.predict_sparse()`). `Err`
+/// when every admitted representation exceeds the cell budget — checked
+/// *before* the cache so admission control is representation-aware even
+/// on the hit path.
+fn plan_repr(
+    problem: &DpProblem,
+    prediction: &SparsePrediction,
+    opts: &SolverOptions,
+) -> Result<PlannedRepr, Degrade> {
     match opts.repr {
         ReprPolicy::DenseOnly => {
             if problem.table_size() > opts.max_table_cells {
@@ -425,7 +432,7 @@ fn probe_cached(
         RoundingOutcome::Rounded(r) => r,
     };
     let problem = DpProblem::from_rounding(&rounding);
-    let planned = plan_repr(&problem, opts)?;
+    let planned = plan_repr(&problem, &problem.predict_sparse(), opts)?;
     let m = inst.machines();
     let key = problem.canonical_key();
     let entry = match cache.get(&key) {
@@ -462,6 +469,14 @@ fn probe_cached(
 /// Bisects the target makespan with cache-backed probes, then assembles
 /// the schedule for the converged target.
 ///
+/// `net` is an achieved schedule (the serve path's descended heuristic
+/// net) with makespan U. With it the search runs on `[LB, min(UB, U)]`,
+/// and the reply is the better of the assembly and the net (a tie keeps
+/// the assembly). A search that converges on U saw the probe at U − 1
+/// infeasible (or U = LB), so OPT ≥ U: the net is optimal and answers
+/// without the assembly probe. `None` searches paper Alg. 1's
+/// `[LB, UB]` and always assembles.
+///
 /// `deadline` is checked before every probe; expiry returns
 /// [`Degrade::DeadlineExceeded`] and the caller falls back to a
 /// heuristic. A `deadline` of `None` never expires.
@@ -472,6 +487,7 @@ pub fn solve_cached(
     cache: &DpCache,
     warm: Option<&WarmTier>,
     deadline: Option<Instant>,
+    net: Option<&Schedule>,
 ) -> Result<SolveOutcome, Degrade> {
     let mut hits = 0u64;
     let mut misses = 0u64;
@@ -484,14 +500,24 @@ pub fn solve_cached(
             inst, t, k, opts, cache, warm, &mut hits, &mut misses, &mut repr,
         )
     };
-    // Invariant: `ub` is always probe-feasible (the initial upper bound
-    // is an achieved LPT makespan, and rounding only shrinks loads).
-    let target = search::converge(
-        bounds::lower_bound(inst),
-        bounds::upper_bound(inst),
-        1,
-        |_, _, targets| targets.iter().map(|&t| Ok(probe(t)?.feasible)).collect(),
-    )?;
+    let net = net.map(|schedule| (schedule, schedule.makespan(inst)));
+    // Invariant: `ub` is always probe-feasible. UB = ⌈area⌉ + max bounds
+    // a list schedule's makespan, U is the net's achieved makespan, and
+    // rounding only shrinks loads.
+    let ub = bounds::upper_bound(inst).min(net.map_or(u64::MAX, |(_, u)| u));
+    let target = search::converge(bounds::lower_bound(inst), ub, 1, |_, _, targets| {
+        targets.iter().map(|&t| Ok(probe(t)?.feasible)).collect()
+    })?;
+    if let Some((schedule, _)) = net.filter(|&(_, u)| u == target) {
+        return Ok(SolveOutcome {
+            schedule: schedule.clone(),
+            target,
+            machines_used: None,
+            cache_hits: hits,
+            cache_misses: misses,
+            repr,
+        });
+    }
     let configs = probe(target)?
         .configs
         .expect("converged target is feasible, so configs exist");
@@ -501,11 +527,15 @@ pub fn solve_cached(
             unreachable!("converged target {target} below longest job {longest}")
         }
     };
-    let schedule = assemble_schedule(inst, &rounding, &configs);
+    let assembled = assemble_schedule(inst, &rounding, &configs);
+    let (schedule, machines_used) = match net {
+        Some((schedule, u)) if u < assembled.makespan(inst) => (schedule.clone(), None),
+        _ => (assembled, Some(configs.len())),
+    };
     Ok(SolveOutcome {
         schedule,
         target,
-        machines_used: configs.len(),
+        machines_used,
         cache_hits: hits,
         cache_misses: misses,
         repr,
@@ -532,7 +562,7 @@ mod tests {
         let cache = DpCache::new(4, 64 << 10);
         for seed in 0..4 {
             let inst = uniform(seed, 24, 3, 1, 50);
-            let cached = solve_cached(&inst, k_of(0.3), &seq(), &cache, None, None).unwrap();
+            let cached = solve_cached(&inst, k_of(0.3), &seq(), &cache, None, None, None).unwrap();
             let plain = Ptas::new(0.3)
                 .with_engine(DpEngine::Sequential)
                 .solve(&inst);
@@ -550,8 +580,8 @@ mod tests {
     fn repeat_solves_hit_the_cache() {
         let cache = DpCache::new(4, 64 << 10);
         let inst = uniform(9, 24, 3, 1, 50);
-        let first = solve_cached(&inst, k_of(0.3), &seq(), &cache, None, None).unwrap();
-        let second = solve_cached(&inst, k_of(0.3), &seq(), &cache, None, None).unwrap();
+        let first = solve_cached(&inst, k_of(0.3), &seq(), &cache, None, None, None).unwrap();
+        let second = solve_cached(&inst, k_of(0.3), &seq(), &cache, None, None, None).unwrap();
         assert_eq!(first.target, second.target);
         assert_eq!(second.cache_misses, 0, "second run must be all hits");
         assert!(second.cache_hits > 0);
@@ -570,7 +600,7 @@ mod tests {
         let warm = WarmTier::open(&dir).unwrap();
         let inst = uniform(11, 24, 3, 1, 50);
         let cold_cache = DpCache::new(4, 64 << 10);
-        let cold = solve_cached(&inst, k_of(0.3), &seq(), &cold_cache, Some(&warm), None).unwrap();
+        let cold = solve_cached(&inst, k_of(0.3), &seq(), &cold_cache, Some(&warm), None, None).unwrap();
         assert!(cold.cache_misses > 0);
         assert!(warm.appends() > 0, "misses must persist to the warm tier");
         // Fresh RAM cache, same warm dir reopened: every probe faults the
@@ -579,7 +609,7 @@ mod tests {
         assert_eq!(reopened.rehydrated(), warm.appends());
         let fresh_cache = DpCache::new(4, 64 << 10);
         let rehydrated =
-            solve_cached(&inst, k_of(0.3), &seq(), &fresh_cache, Some(&reopened), None).unwrap();
+            solve_cached(&inst, k_of(0.3), &seq(), &fresh_cache, Some(&reopened), None, None).unwrap();
         assert_eq!(rehydrated.target, cold.target);
         assert_eq!(rehydrated.cache_misses, 0, "no DP may run after rehydration");
         assert!(reopened.hits() > 0, "probes must be answered from disk");
@@ -594,8 +624,8 @@ mod tests {
         let times: Vec<u64> = uniform(3, 24, 3, 1, 50).times().to_vec();
         let a = Instance::new(times.clone(), 3);
         let b = Instance::new(times, 4);
-        let first = solve_cached(&a, 4, &seq(), &cache, None, None).unwrap();
-        let second = solve_cached(&b, 4, &seq(), &cache, None, None).unwrap();
+        let first = solve_cached(&a, 4, &seq(), &cache, None, None, None).unwrap();
+        let second = solve_cached(&b, 4, &seq(), &cache, None, None, None).unwrap();
         assert!(first.cache_misses > 0);
         assert!(
             second.cache_hits > 0,
@@ -608,7 +638,7 @@ mod tests {
         let cache = DpCache::new(4, 64 << 10);
         let inst = uniform(1, 24, 3, 1, 50);
         let already_past = Instant::now() - Duration::from_millis(1);
-        let err = solve_cached(&inst, 4, &seq(), &cache, None, Some(already_past)).unwrap_err();
+        let err = solve_cached(&inst, 4, &seq(), &cache, None, Some(already_past), None).unwrap_err();
         assert_eq!(err, Degrade::DeadlineExceeded);
     }
 
@@ -623,14 +653,14 @@ mod tests {
             max_table_cells: 8,
             ..seq()
         };
-        let err = solve_cached(&inst, 6, &opts, &cache, None, None).unwrap_err();
+        let err = solve_cached(&inst, 6, &opts, &cache, None, None, None).unwrap_err();
         assert!(matches!(err, Degrade::TableTooLarge { cells } if cells > 8));
         // The pre-sparsification policy degrades identically.
         let dense_opts = SolverOptions {
             repr: ReprPolicy::DenseOnly,
             ..opts
         };
-        let err = solve_cached(&inst, 6, &dense_opts, &cache, None, None).unwrap_err();
+        let err = solve_cached(&inst, 6, &dense_opts, &cache, None, None, None).unwrap_err();
         assert!(matches!(err, Degrade::TableTooLarge { cells } if cells > 8));
     }
 
@@ -644,8 +674,8 @@ mod tests {
         };
         for seed in 0..4 {
             let inst = uniform(seed, 24, 3, 1, 50);
-            let dense = solve_cached(&inst, 4, &seq(), &dense_cache, None, None).unwrap();
-            let sparse = solve_cached(&inst, 4, &sparse_opts, &sparse_cache, None, None).unwrap();
+            let dense = solve_cached(&inst, 4, &seq(), &dense_cache, None, None, None).unwrap();
+            let sparse = solve_cached(&inst, 4, &sparse_opts, &sparse_cache, None, None, None).unwrap();
             assert_eq!(dense.target, sparse.target, "seed {seed}");
             assert_eq!(dense.machines_used, sparse.machines_used, "seed {seed}");
             let ms = sparse.schedule.validate(&inst).unwrap();
@@ -666,7 +696,7 @@ mod tests {
             .chain(std::iter::repeat_n(11u64, 12))
             .collect();
         let inst = Instance::new(times, 4);
-        let unbounded = solve_cached(&inst, 8, &seq(), &DpCache::new(4, 64 << 10), None, None)
+        let unbounded = solve_cached(&inst, 8, &seq(), &DpCache::new(4, 64 << 10), None, None, None)
             .unwrap();
         assert!(unbounded.repr.dense > 0);
         assert_eq!(unbounded.repr.sparse, 0);
@@ -675,7 +705,7 @@ mod tests {
             ..seq()
         };
         let cache = DpCache::new(4, 64 << 10);
-        let outcome = solve_cached(&inst, 8, &opts, &cache, None, None).unwrap();
+        let outcome = solve_cached(&inst, 8, &opts, &cache, None, None, None).unwrap();
         assert_eq!(outcome.target, unbounded.target);
         assert!(
             outcome.repr.sparse > 0,
@@ -728,9 +758,9 @@ mod tests {
             pages_budget: StoreBudget::bytes(1 << 10),
             ..seq()
         };
-        let paged = solve_cached(&inst, 6, &opts, &cache, None, None).unwrap();
+        let paged = solve_cached(&inst, 6, &opts, &cache, None, None, None).unwrap();
         assert!(paged.repr.paged > 0, "probes must page: {:?}", paged.repr);
-        let reference = solve_cached(&inst, 6, &seq(), &DpCache::new(4, 64 << 10), None, None)
+        let reference = solve_cached(&inst, 6, &seq(), &DpCache::new(4, 64 << 10), None, None, None)
             .unwrap();
         assert_eq!(paged.target, reference.target);
         let ms = paged.schedule.validate(&inst).unwrap();

@@ -158,12 +158,12 @@ grep -q '"spills":true' target/BENCH_sparse.json
 test -s target/BENCH_sparse_smoke.json
 grep -q '"differential":"ok"' target/BENCH_sparse_smoke.json
 
-# Overflow audit smoke: the adversarial differential harness (engines,
-# searches, serve solver, oracles, validation gate) across 64 seeds of
-# u64-scale instances. Exits non-zero on any divergence; running it on
-# the release build also exercises `overflow-checks = true` (see
-# DESIGN.md §"Numeric ranges & overflow policy").
-./target/release/pcmax audit --seeds 64 --out target/AUDIT.json
+# Overflow audit: the adversarial differential harness (engines,
+# searches, the net-first serve solver, oracles, validation gate) across
+# 256 seeds of u64-scale instances. Exits non-zero on any divergence;
+# running it on the release build also exercises `overflow-checks =
+# true` (see DESIGN.md §"Numeric ranges & overflow policy").
+./target/release/pcmax audit --seeds 256 --out target/AUDIT.json
 test -s target/AUDIT.json
 
 # Sparse-only audit sweep: the same 64 seeds filtered to the sparse

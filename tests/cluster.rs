@@ -185,8 +185,14 @@ fn pressured_workers_are_demoted_in_routing_order() {
     let coordinator = cluster.coordinator();
 
     // The first solve lands on the affinity primary and fills its cache.
-    let inst = uniform(17, 28, 4, 1, 60);
+    // The dp-dense shape: the descended net does not prove itself
+    // optimal here, so the first solve runs a DP and caches it.
+    let inst = uniform(17, 36, 12, 30, 100);
     let first = coordinator.solve(request(&inst)).expect("first solve");
+    assert!(
+        first.response.stats.cache_misses > 0,
+        "premise: the first solve runs a DP"
+    );
     let primary = first.worker.clone().expect("served remotely");
     let primary_idx = cluster.index_of(&primary).expect("known worker");
     let direct = cluster.service(primary_idx).expect("worker alive");

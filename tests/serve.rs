@@ -120,10 +120,13 @@ fn concurrent_tcp_clients_get_valid_schedules() {
 #[test]
 fn repeat_requests_warm_the_cache() {
     let (service, addr, handle) = start_service(ServeConfig::default());
-    let inst = uniform(11, 30, 3, 1, 50);
+    // The dp-dense shape: the descended net does not prove itself
+    // optimal here, so the cold solve runs a DP.
+    let inst = uniform(11, 36, 12, 30, 100);
     let mut client = Client::connect(addr).expect("connect");
 
     let cold = client.solve(&inst, Some(0.3), None).expect("cold solve");
+    assert!(cold.cache_misses > 0, "premise: the cold solve runs a DP");
     let warm = client.solve(&inst, Some(0.3), None).expect("warm solve");
     assert_eq!(cold.target, warm.target, "same instance, same T*");
     assert_eq!(warm.cache_misses, 0, "second solve must be all cache hits");
@@ -229,8 +232,9 @@ fn health_verb_reports_uptime_and_cache_growth() {
     assert!(before.uptime_us > 0, "uptime must be ticking");
     assert_eq!(before.cache_entries, 0, "cold service has an empty cache");
 
-    let inst = uniform(21, 26, 3, 1, 50);
-    client.solve(&inst, Some(0.3), None).expect("solve");
+    let inst = uniform(21, 36, 12, 30, 100);
+    let reply = client.solve(&inst, Some(0.3), None).expect("solve");
+    assert!(reply.cache_misses > 0, "premise: the solve runs a DP");
 
     let after = client.health().expect("health after solve");
     assert!(after.uptime_us >= before.uptime_us);
@@ -291,7 +295,7 @@ fn restarted_server_answers_from_the_disk_tier_without_recomputing() {
         store_dir: Some(dir.clone()),
         ..ServeConfig::default()
     };
-    let inst = uniform(33, 30, 4, 1, 60);
+    let inst = uniform(33, 36, 12, 30, 100);
 
     // First life: a cold solve runs the DP and appends it to the warm log.
     let (service, addr, handle) = start_service(config.clone());
@@ -422,6 +426,23 @@ fn auto_portfolio_never_costs_more_than_the_worst_pinned_arm() {
     // `auto` and once per fixed arm; `exact` is skipped because it
     // declines instances above its job cap and these have 20 jobs.
     let pool: Vec<_> = (0..2).map(|s| uniform(s, 20, 3, 1, 100)).collect();
+    // DP runs of one pass over the pool: every later request repeats an
+    // instance, so the auto run must run no DP beyond these.
+    let one_pass_misses = {
+        let service = Service::start(ServeConfig::default());
+        for inst in &pool {
+            service
+                .solve_blocking(pcmax::SolveRequest {
+                    instance: inst.clone(),
+                    epsilon: Some(0.3),
+                    deadline: Some(Duration::from_secs(2)),
+                })
+                .expect("solve");
+        }
+        let misses = service.report().cache.misses;
+        service.shutdown();
+        misses
+    };
     let run = |portfolio| {
         let config = ServeConfig {
             portfolio,
@@ -433,8 +454,10 @@ fn auto_portfolio_never_costs_more_than_the_worst_pinned_arm() {
         assert_eq!(arms, names, "one portfolio entry per arm");
         assert_eq!(report.accepted, 16);
         match portfolio {
-            // Repeats over the 2-instance pool answer from the DP cache.
-            PortfolioPolicy::Auto => assert!(report.cache.hits > 0, "{:?}", report.cache),
+            // Repeats over the 2-instance pool run no DP.
+            PortfolioPolicy::Auto => {
+                assert_eq!(report.cache.misses, one_pass_misses, "{:?}", report.cache)
+            }
             PortfolioPolicy::Fixed(arm) => {
                 let pinned = &report.portfolio.arms[Arm::ALL.iter().position(|&a| a == arm).unwrap()];
                 assert_eq!(pinned.chosen, 16, "fixed:{} picks its arm for every request", arm.name());
