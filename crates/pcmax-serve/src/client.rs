@@ -3,8 +3,9 @@
 use crate::proto;
 use crate::service::SolveRequest;
 use crate::stats::{EngineUsed, HealthReply};
+use crate::tcp::{configure_stream, read_line};
 use pcmax_core::{Instance, Schedule};
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -64,13 +65,15 @@ pub struct ClientReply {
 /// strictly request/response per line).
 pub struct Client {
     reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    writer: TcpStream,
+    /// Reply line buffer, reused across calls.
+    buf: Vec<u8>,
 }
 
 impl Client {
     /// Connects to a running [`crate::serve_tcp`] endpoint.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
-        Self::from_stream(TcpStream::connect(addr)?)
+        Self::from_stream(TcpStream::connect(addr)?, None)
     }
 
     /// Connects with a bound on the TCP handshake, and applies the same
@@ -78,17 +81,15 @@ impl Client {
     /// costs at most `timeout`, never a wedged thread. The cluster
     /// router's connect path.
     pub fn connect_timeout(addr: &SocketAddr, timeout: Duration) -> std::io::Result<Self> {
-        let stream = TcpStream::connect_timeout(addr, timeout)?;
-        stream.set_read_timeout(Some(timeout))?;
-        stream.set_write_timeout(Some(timeout))?;
-        Self::from_stream(stream)
+        Self::from_stream(TcpStream::connect_timeout(addr, timeout)?, Some(timeout))
     }
 
-    fn from_stream(stream: TcpStream) -> std::io::Result<Self> {
-        let peer = stream.try_clone()?;
+    fn from_stream(stream: TcpStream, io_timeout: Option<Duration>) -> std::io::Result<Self> {
+        configure_stream(&stream, io_timeout)?;
         Ok(Self {
+            writer: stream.try_clone()?,
             reader: BufReader::new(stream),
-            writer: BufWriter::new(peer),
+            buf: Vec::new(),
         })
     }
 
@@ -103,7 +104,8 @@ impl Client {
     /// and decodes it with `parse`. A reply that fails to decode is a
     /// [`ClientError::Server`] when its first word is exactly `err` (the
     /// server answered, the connection is fine) and a transport failure
-    /// otherwise (the peer speaks garbage; drop the connection).
+    /// otherwise (the peer speaks garbage; drop the connection). So is a
+    /// reply over [`crate::tcp::MAX_LINE_BYTES`].
     fn call<T>(
         &mut self,
         line: &str,
@@ -113,16 +115,15 @@ impl Client {
             let stage = stage.to_string();
             move |e: std::io::Error| ClientError::Transport(format!("{stage}: {e}"))
         };
-        writeln!(self.writer, "{line}").map_err(transport("send"))?;
-        self.writer.flush().map_err(transport("send"))?;
-        let mut reply = String::new();
-        let n = self
-            .reader
-            .read_line(&mut reply)
-            .map_err(transport("recv"))?;
-        if n == 0 {
-            return Err(ClientError::Transport("server closed the connection".into()));
-        }
+        self.writer
+            .write_all(format!("{line}\n").as_bytes())
+            .map_err(transport("send"))?;
+        let Some(reply) = read_line(&mut self.reader, &mut self.buf).map_err(transport("recv"))?
+        else {
+            return Err(ClientError::Transport(
+                "server closed the connection".into(),
+            ));
+        };
         let reply = reply.trim_end();
         parse(reply).map_err(|msg| {
             if reply.split_whitespace().next() == Some("err") {
@@ -258,7 +259,73 @@ impl Client {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tcp::serve_lines;
+    use crate::proto::Request;
+    use crate::tcp::{serve_lines, MAX_LINE_BYTES};
+    use pcmax_warmsync::ShipEntry;
+    use std::net::TcpListener;
+    use std::sync::{Arc, Mutex};
+
+    #[test]
+    fn stream_setup_turns_nagle_off_on_accepted_and_client_streams() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = Client::connect(listener.local_addr().unwrap()).unwrap();
+        assert!(client.writer.nodelay().unwrap());
+        let (accepted, _) = listener.accept().unwrap();
+        assert!(
+            !accepted.nodelay().unwrap(),
+            "premise: Nagle is on by default"
+        );
+        configure_stream(&accepted, None).unwrap();
+        assert!(accepted.nodelay().unwrap());
+    }
+
+    #[test]
+    fn an_over_long_reply_is_a_transport_error() {
+        let server = serve_lines("127.0.0.1:0", None, |_| "x".repeat(MAX_LINE_BYTES + 1)).unwrap();
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        let err = client.health().unwrap_err();
+        let expected = format!("recv: line exceeds {MAX_LINE_BYTES} bytes");
+        assert_eq!(err, ClientError::Transport(expected));
+        drop(client);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_warm_frame_just_under_the_cap_round_trips() {
+        // A fake peer that keeps the pushed tokens and serves them back
+        // as its `warm-pull` reply, so both directions carry the frame.
+        let held = Arc::new(Mutex::new((0, Vec::<String>::new())));
+        let peer = Arc::clone(&held);
+        let server = serve_lines("127.0.0.1:0", None, move |line| {
+            let (frame, tokens) = &mut *peer.lock().unwrap();
+            match proto::parse_request(line) {
+                Ok(Request::WarmPush { tokens: pushed }) => {
+                    (*frame, *tokens) = (line.len(), pushed);
+                    proto::format_warm_push_reply(tokens.len() as u64, 0)
+                }
+                Ok(Request::WarmPull { .. }) => {
+                    format!("warm-pull {} {}", tokens.len(), tokens.join(" "))
+                }
+                _ => proto::format_error("unexpected request"),
+            }
+        })
+        .unwrap();
+        let entry = ShipEntry {
+            seq: 7,
+            key: b"key".to_vec(),
+            value: vec![0xa5; (MAX_LINE_BYTES - 256) / 2],
+        };
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        assert_eq!(client.warm_push(std::slice::from_ref(&entry)), Ok((1, 0)));
+        let frame = held.lock().unwrap().0;
+        assert!(
+            (MAX_LINE_BYTES - 256..=MAX_LINE_BYTES).contains(&frame),
+            "{frame}"
+        );
+        assert_eq!(client.warm_pull(0, 0, u64::MAX), Ok(vec![entry]));
+        drop(client);
+        server.shutdown();
+    }
 
     #[test]
     fn only_an_exact_err_verb_is_a_server_error() {

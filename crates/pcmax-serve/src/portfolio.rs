@@ -369,7 +369,18 @@ pub(crate) fn heuristic_net(
     budget_us: Option<u64>,
     counters: &PortfolioCounters,
 ) -> PortfolioOutcome {
-    let run = |arm: Arm| counters.time_run(arm, || run_heuristic(arm, inst));
+    best_heuristic(inst, budget_us, counters, |net| net)
+}
+
+/// [`heuristic_net`] with `finish` applied to each heuristic's answer
+/// before the better one is kept.
+fn best_heuristic(
+    inst: &Instance,
+    budget_us: Option<u64>,
+    counters: &PortfolioCounters,
+    finish: impl Fn(PortfolioOutcome) -> PortfolioOutcome,
+) -> PortfolioOutcome {
+    let run = |arm: Arm| finish(counters.time_run(arm, || run_heuristic(arm, inst)));
     if budget_us.is_some_and(|b| b < TIGHT_BUDGET_US) {
         let arm = if crate::solver::cv_pct(inst) >= CV_SPLIT_PCT {
             Arm::LptRev
@@ -387,37 +398,41 @@ pub(crate) fn heuristic_net(
     }
 }
 
-/// The PTAS arm's net: [`heuristic_net`], then the move/swap descent
-/// until a local optimum or `ImproveConfig::default()`'s round cap. The
-/// request deadline is only a safety stop, so the net is deterministic
-/// per instance. The descent never worsens its input, so the heuristic's
-/// certificate still holds; the a-posteriori ratio against LB may be
-/// tighter.
+/// The PTAS arm's net: LPT-revisited and MULTIFIT each descended by the
+/// move/swap descent until a local optimum or
+/// `ImproveConfig::default()`'s round cap, the better kept (ties to
+/// LPT-revisited); under a tight budget only [`heuristic_net`]'s one
+/// heuristic runs and descends. Descending both matters because
+/// MULTIFIT's packing often descends to a worse local optimum than
+/// LPT-revisited's even when it starts lower. The request deadline is
+/// only a safety stop, so the net is deterministic per instance. The
+/// descent never worsens its input, so the heuristic's certificate
+/// still holds; the a-posteriori ratio against LB may be tighter.
 pub fn descended_net(
     inst: &Instance,
     budget_us: Option<u64>,
     deadline: Option<Instant>,
     counters: &PortfolioCounters,
 ) -> PortfolioOutcome {
-    let net = heuristic_net(inst, budget_us, counters);
     // Without a deadline the round cap alone stops the descent.
     let stop = deadline.unwrap_or_else(|| Instant::now() + Duration::from_secs(3600));
-    let schedule = descend(
-        inst,
-        &net.schedule,
-        stop,
-        ImproveConfig::default().max_descent_rounds,
-        &mut ImproveStats::default(),
-    );
-    let makespan = schedule.makespan(inst);
-    PortfolioOutcome {
-        guarantee: net
-            .guarantee
-            .tighter(Guarantee::a_posteriori(makespan, bounds::lower_bound(inst))),
-        schedule,
-        makespan,
-        ..net
-    }
+    let lb = bounds::lower_bound(inst);
+    best_heuristic(inst, budget_us, counters, |net| {
+        let schedule = descend(
+            inst,
+            &net.schedule,
+            stop,
+            ImproveConfig::default().max_descent_rounds,
+            &mut ImproveStats::default(),
+        );
+        let makespan = schedule.makespan(inst);
+        PortfolioOutcome {
+            guarantee: net.guarantee.tighter(Guarantee::a_posteriori(makespan, lb)),
+            schedule,
+            makespan,
+            ..net
+        }
+    })
 }
 
 /// Answers one request under the portfolio policy. Never fails: every
@@ -737,6 +752,45 @@ mod tests {
             assert!(target <= out.makespan);
             assert!(out.guarantee.holds(out.makespan, target));
         }
+    }
+
+    #[test]
+    fn the_net_descends_both_heuristics_keeps_the_better_and_repeats_exactly() {
+        let descended = |inst: &Instance, start: &Schedule| {
+            let stop = Instant::now() + Duration::from_secs(3600);
+            let rounds = ImproveConfig::default().max_descent_rounds;
+            descend(inst, start, stop, rounds, &mut ImproveStats::default()).makespan(inst)
+        };
+        // Instances where MULTIFIT starts lower but descends to a worse
+        // local optimum than LPT-revisited: descending only the better
+        // start misses the better net there.
+        let mut reversals = 0;
+        for inst in (0..24).map(dp_dense) {
+            let (rev, mf) = (
+                lpt_revisited(&inst).schedule,
+                multifit_with_guarantee(&inst, MULTIFIT_ITERS).0,
+            );
+            let (rev_down, mf_down) = (descended(&inst, &rev), descended(&inst, &mf));
+            let counters = PortfolioCounters::default();
+            let net = descended_net(&inst, None, None, &counters);
+            assert_eq!(net.makespan, rev_down.min(mf_down));
+            let winner = if mf_down < rev_down {
+                Arm::Multifit
+            } else {
+                Arm::LptRev
+            };
+            assert_eq!(net.arm, winner, "ties go to LPT-revisited");
+            assert_eq!(net.schedule.validate(&inst).unwrap(), net.makespan);
+            let runs = |arm: Arm| counters.report().arms[arm.idx()].runs;
+            assert_eq!((runs(Arm::LptRev), runs(Arm::Multifit)), (1, 1));
+            let again = descended_net(&inst, None, None, &PortfolioCounters::default());
+            assert_eq!((again.arm, again.guarantee), (net.arm, net.guarantee));
+            assert_eq!(again.schedule, net.schedule);
+            if mf.makespan(&inst) < rev.makespan(&inst) && rev_down < mf_down {
+                reversals += 1;
+            }
+        }
+        assert!(reversals > 0, "premise: the pool holds a reversal");
     }
 
     #[test]

@@ -1022,19 +1022,51 @@ mod tests {
 
     #[test]
     fn concurrent_submitters_all_get_answers() {
+        // Misses of each instance solved alone on a fresh service: what
+        // a request can miss at most, whatever else runs beside it.
+        let cold: Vec<u64> = (0..4)
+            .map(|seed| {
+                let service = Service::start(ServeConfig::default());
+                service.solve_blocking(dp_request(seed)).unwrap();
+                let misses = service.report().cache.misses;
+                service.shutdown();
+                misses
+            })
+            .collect();
+        assert!(
+            cold.iter().all(|&m| m > 0),
+            "premise: cold solves run a DP: {cold:?}"
+        );
         let service = Service::start(ServeConfig {
             workers: 2,
             ..ServeConfig::default()
         });
-        let handles: Vec<_> = (0..8)
-            .map(|i| {
-                let svc = Arc::clone(&service);
-                std::thread::spawn(move || {
-                    // 4 distinct instances, each requested twice.
-                    let res = svc.solve_blocking(dp_request(i % 4)).unwrap();
-                    let inst = dp_instance(i % 4);
-                    assert_eq!(res.schedule.validate(&inst).unwrap(), res.makespan);
-                })
+        // 4 distinct instances, each requested twice by its own thread;
+        // a repeat is submitted once its twin is answered, so only the
+        // cache can spare it the DP.
+        let solve = |svc: &Service, seed: u64| {
+            let res = svc.solve_blocking(dp_request(seed)).unwrap();
+            assert_eq!(
+                res.schedule.validate(&dp_instance(seed)).unwrap(),
+                res.makespan
+            );
+            res.stats.cache_misses
+        };
+        let handles: Vec<_> = (0..4u64)
+            .flat_map(|seed| {
+                let (answered, twin_answered) = std::sync::mpsc::channel();
+                let first = Arc::clone(&service);
+                let repeat = Arc::clone(&service);
+                [
+                    std::thread::spawn(move || {
+                        solve(&first, seed);
+                        answered.send(()).unwrap();
+                    }),
+                    std::thread::spawn(move || {
+                        twin_answered.recv().unwrap();
+                        assert_eq!(solve(&repeat, seed), 0, "a repeat must hit the cache");
+                    }),
+                ]
             })
             .collect();
         for h in handles {
@@ -1042,8 +1074,13 @@ mod tests {
         }
         let report = service.report();
         assert_eq!(report.completed, 8);
-        assert!(report.cache.misses > 0, "premise: cold solves run a DP");
-        assert!(report.cache.hits > 0, "repeats must hit the cache");
+        // Without the cache the 8 requests would miss twice the cold sum.
+        let cold_sum: u64 = cold.iter().sum();
+        assert!(
+            report.cache.misses <= cold_sum,
+            "{:?} vs {cold_sum}",
+            report.cache
+        );
         service.shutdown();
     }
 }

@@ -10,6 +10,15 @@ cargo build --release
 # (auto selector vs every pinned arm) and improver gate (improved vs
 # unimproved mean gap_ppm) in tests/serve.rs.
 cargo test -q
+# Flake guard: the two loopback tests that assert cache counts under
+# concurrent clients run 20 more times each, so a returning race fails
+# here instead of once in 30 runs.
+for name in concurrent_tcp_clients_get_valid_schedules \
+  auto_portfolio_never_costs_more_than_the_worst_pinned_arm; do
+  for _ in $(seq 20); do
+    out=$(cargo test -q --test serve "$name" 2>&1) || { echo "$out"; exit 1; }
+  done
+done
 # Every workspace crate's suites (unit, integration, proptests), not only
 # the facade package's.
 cargo test --workspace -q
