@@ -149,6 +149,7 @@ impl TableAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pcmax_ptas::config::count_configs;
     use pcmax_ptas::DpEngine;
 
     fn sample() -> DpProblem {
@@ -185,14 +186,21 @@ mod tests {
 
     #[test]
     fn dep_count_matches_dp_config_enumeration() {
-        // Each dep is one feasible non-zero configuration; the DP's
-        // configs_enumerated counts candidates visited by the pruned DFS,
-        // which is ≥ deps + 1 (zero config) per non-origin cell.
+        // Each dep is one feasible non-zero configuration, so the deps
+        // are the full enumeration `count_configs` models, less the zero
+        // configuration of every non-origin cell.
         let p = sample();
         let a = TableAnalysis::analyze(&p);
-        let sol = p.solve(DpEngine::Sequential);
-        assert!(a.total_deps() < sol.stats.configs_enumerated);
+        let shape = p.shape();
+        let full: u64 = (1..p.table_size())
+            .map(|flat| count_configs(&shape.unflatten(flat), p.sizes(), p.cap()))
+            .sum();
+        assert_eq!(a.total_deps(), full - (p.table_size() as u64 - 1));
         assert!(a.total_deps() > 0);
+        // The DP stops each cell at its area bound, so it visits at most
+        // the full enumeration.
+        let sol = p.solve(DpEngine::Sequential);
+        assert!(sol.stats.configs_enumerated <= full);
     }
 
     #[test]

@@ -9,6 +9,8 @@
 //! `Σᵢ sᵢ·strideᵢ`, letting the DP engines read `OPT(v − s)` with one
 //! subtraction instead of re-flattening a multi-index per configuration.
 
+use std::ops::ControlFlow;
+
 /// Visits every configuration `s ≤ bound` with `Σ sᵢ·sizeᵢ ≤ cap`,
 /// including the zero vector, in lexicographic order.
 ///
@@ -19,26 +21,55 @@ where
     F: FnMut(&[usize], u64, usize),
 {
     let mut s = vec![0usize; bound.len()];
-    for_each_config_in(bound, sizes, strides, cap, &mut s, f);
+    let _ = walk_configs(
+        bound,
+        sizes,
+        strides,
+        cap,
+        Order::Ascending,
+        &mut s,
+        &mut |s, w, o| {
+            f(s, w, o);
+            ControlFlow::Continue(())
+        },
+    );
 }
 
-/// [`for_each_config`] enumerating into a caller-owned buffer `s`
-/// (`bound.len()` zeros, left all zeros on return), so a loop over many
-/// cells allocates nothing per cell.
-pub(crate) fn for_each_config_in<F>(
+/// The order in which [`walk_configs`] visits each class's counts.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Order {
+    /// `0, 1, …, max` per class: lexicographic order, zero vector first.
+    Ascending,
+    /// `max, …, 1, 0` per class: reverse lexicographic order, heaviest
+    /// first in the leading class, zero vector last.
+    Descending,
+}
+
+/// The one configuration walk: a depth-first sweep with capacity pruning
+/// over the configurations `s ≤ bound`, enumerating into a caller-owned
+/// buffer `s` (`bound.len()` zeros) so a loop over many cells allocates
+/// nothing per cell.
+///
+/// `f` receives `(s, weight, offset_delta)` as in [`for_each_config`] and
+/// stops the walk by returning `Break`. A walk that runs to the end
+/// leaves `s` all zeros; a stopped walk leaves the stopping configuration
+/// in `s`.
+pub(crate) fn walk_configs<F>(
     bound: &[usize],
     sizes: &[u64],
     strides: &[usize],
     cap: u64,
+    order: Order,
     s: &mut [usize],
     f: &mut F,
-) where
-    F: FnMut(&[usize], u64, usize),
+) -> ControlFlow<()>
+where
+    F: FnMut(&[usize], u64, usize) -> ControlFlow<()>,
 {
     debug_assert_eq!(bound.len(), sizes.len());
     debug_assert_eq!(bound.len(), strides.len());
     debug_assert!(s.len() == bound.len() && s.iter().all(|&x| x == 0));
-    recurse(0, bound, sizes, strides, cap, 0, 0, s, f);
+    recurse(0, bound, sizes, strides, cap, order, 0, 0, s, f)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -48,16 +79,17 @@ fn recurse<F>(
     sizes: &[u64],
     strides: &[usize],
     cap: u64,
+    order: Order,
     weight: u64,
     offset: usize,
     s: &mut [usize],
     f: &mut F,
-) where
-    F: FnMut(&[usize], u64, usize),
+) -> ControlFlow<()>
+where
+    F: FnMut(&[usize], u64, usize) -> ControlFlow<()>,
 {
     if dim == bound.len() {
-        f(s, weight, offset);
-        return;
+        return f(s, weight, offset);
     }
     let size = sizes[dim];
     let remaining = cap - weight;
@@ -66,7 +98,11 @@ fn recurse<F>(
         Some(q) => bound[dim].min(q as usize),
         None => bound[dim],
     };
-    for count in 0..=max_count {
+    for i in 0..=max_count {
+        let count = match order {
+            Order::Ascending => i,
+            Order::Descending => max_count - i,
+        };
         s[dim] = count;
         recurse(
             dim + 1,
@@ -74,13 +110,15 @@ fn recurse<F>(
             sizes,
             strides,
             cap,
+            order,
             weight + count as u64 * size,
             offset + count * strides[dim],
             s,
             f,
-        );
+        )?;
     }
     s[dim] = 0;
+    ControlFlow::Continue(())
 }
 
 /// Number of configurations `s ≤ bound` with weight ≤ `cap` (including
@@ -134,6 +172,50 @@ mod tests {
                 (vec![2, 0], 6),
             ]
         );
+    }
+
+    #[test]
+    fn descending_walk_reverses_the_order_and_stops_on_break() {
+        let mut got = Vec::new();
+        let mut s = [0usize; 2];
+        let flow = walk_configs(
+            &[2, 1],
+            &[3, 5],
+            &[0, 0],
+            10,
+            Order::Descending,
+            &mut s,
+            &mut |s, _, _| {
+                got.push(s.to_vec());
+                ControlFlow::Continue(())
+            },
+        );
+        assert!(flow.is_continue());
+        assert_eq!(
+            got,
+            vec![vec![2, 0], vec![1, 1], vec![1, 0], vec![0, 1], vec![0, 0]]
+        );
+        assert_eq!(s, [0, 0]);
+        // A break ends the walk and leaves the stopping configuration.
+        let mut visited = 0;
+        let flow = walk_configs(
+            &[2, 1],
+            &[3, 5],
+            &[0, 0],
+            10,
+            Order::Descending,
+            &mut s,
+            &mut |s, _, _| {
+                visited += 1;
+                if s == [1, 0] {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            },
+        );
+        assert!(flow.is_break());
+        assert_eq!((visited, s), (3, [1, 0]));
     }
 
     #[test]

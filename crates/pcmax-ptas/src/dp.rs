@@ -34,7 +34,7 @@
 //!   — dominance-pruned layers of reachable cells instead of the full
 //!   table.
 
-use crate::config::for_each_config_in;
+use crate::config::{walk_configs, Order};
 use crate::rounding::Rounding;
 use ndtable::partition::DivisorRule;
 use ndtable::{BlockLevels, BlockedLayout, Divisor, LevelBuckets, PagedTable, Shape};
@@ -44,6 +44,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::convert::Infallible;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// Sentinel for "no feasible packing" (some single job exceeds `cap`).
@@ -236,8 +237,9 @@ pub struct DpStats {
     pub table_size: usize,
     /// Anti-diagonal levels swept (`n′ + 1` for unblocked engines).
     pub num_levels: usize,
-    /// Total configurations enumerated across all cells (the DP's inner-
-    /// loop trip count).
+    /// Configurations visited across all cells (the DP's inner-loop trip
+    /// count). Each cell stops at its area bound, so this is at most
+    /// the full enumeration [`crate::config::count_configs`] sums to.
     pub configs_enumerated: u64,
     /// Number of blocks (1 unless `Blocked`).
     pub num_blocks: usize,
@@ -258,7 +260,7 @@ pub struct DpStats {
 pub struct DpLevelStat {
     /// Cells computed in this level.
     pub cells: u64,
-    /// Configurations enumerated by this level's cells.
+    /// Configurations visited by this level's cells.
     pub configs: u64,
     /// Wall time spent sweeping this level, in µs (0 for the sequential
     /// engine, whose row-major order interleaves levels).
@@ -350,7 +352,13 @@ impl DpProblem {
     /// is its row-major offset below `v`), a cell on a smaller
     /// anti-diagonal level. The first read error aborts the cell. `s` is
     /// the caller's all-zero enumeration buffer, one entry per class.
-    /// Returns the cell value and the number of configurations enumerated.
+    /// Returns the cell value and the number of configurations visited.
+    ///
+    /// Configurations are visited heaviest-first ([`Order::Descending`])
+    /// and the walk stops at the first `v − s` whose value reaches the
+    /// area bound `⌈w(v)/cap⌉ − 1`, where `w(v) = Σ vᵢ·sizeᵢ`: every
+    /// `v − s` weighs at least `w(v) − cap`, so no configuration can do
+    /// better, and the cell value is the one the full minimum gives.
     #[inline]
     fn compute_cell<E>(
         &self,
@@ -361,23 +369,43 @@ impl DpProblem {
         if v.iter().all(|&x| x == 0) {
             return Ok((0, 0));
         }
+        let floor = self.area_floor(v);
         let mut best = INFEASIBLE;
-        let mut enumerated = 0u64;
+        let mut visited = 0u64;
         let mut err = None;
         let strides = self.shape.strides();
-        for_each_config_in(v, &self.sizes, strides, self.cap, s, &mut |s, _w, delta| {
-            enumerated += 1;
-            // The zero configuration schedules nothing; after a failed
-            // read the remaining configurations are only counted.
-            if delta == 0 || err.is_some() {
-                return;
-            }
-            match read(s, delta) {
-                Ok(val) if val < best => best = val,
-                Ok(_) => {}
-                Err(e) => err = Some(e),
-            }
-        });
+        let walk = walk_configs(
+            v,
+            &self.sizes,
+            strides,
+            self.cap,
+            Order::Descending,
+            s,
+            &mut |s, _w, delta| {
+                visited += 1;
+                // The zero configuration schedules nothing.
+                if delta == 0 {
+                    return ControlFlow::Continue(());
+                }
+                match read(s, delta) {
+                    Ok(val) if val < best => {
+                        best = val;
+                        if val == floor {
+                            return ControlFlow::Break(());
+                        }
+                    }
+                    Ok(_) => {}
+                    Err(e) => {
+                        err = Some(e);
+                        return ControlFlow::Break(());
+                    }
+                }
+                ControlFlow::Continue(())
+            },
+        );
+        if walk.is_break() {
+            s.fill(0);
+        }
         if let Some(e) = err {
             return Err(e);
         }
@@ -386,7 +414,24 @@ impl DpProblem {
         } else {
             best + 1
         };
-        Ok((value, enumerated))
+        Ok((value, visited))
+    }
+
+    /// `⌈w(v)/cap⌉ − 1 = ⌊(w(v) − 1)/cap⌋` for a non-zero cell `v`: the
+    /// least value any predecessor `v − s` can hold. The weight is summed
+    /// in u128 because `Σ vᵢ·sizeᵢ` can exceed u64 for near-max sizes. A
+    /// bound no cell value can reach (zero capacity, or one at or above
+    /// [`INFEASIBLE`]) comes back as [`INFEASIBLE`], which never stops a
+    /// walk.
+    #[inline]
+    fn area_floor(&self, v: &[usize]) -> u32 {
+        let weight = v.iter().zip(&self.sizes).fold(0u128, |acc, (&n, &size)| {
+            acc.saturating_add(n as u128 * size as u128)
+        });
+        (weight - 1)
+            .checked_div(self.cap as u128)
+            .and_then(|q| u32::try_from(q).ok())
+            .unwrap_or(INFEASIBLE)
     }
 
     /// Solves with the chosen engine.
@@ -730,8 +775,8 @@ impl DpProblem {
         Some(machines)
     }
 
-    /// First configuration `s` of `v` with `OPT(v − s) == target`,
-    /// searched depth-first with early exit.
+    /// First configuration `s` of `v` in lexicographic order with
+    /// `OPT(v − s) == target`.
     fn find_predecessor(
         &self,
         v: &[usize],
@@ -739,60 +784,23 @@ impl DpProblem {
         values: &[u32],
         target: u32,
     ) -> Option<Vec<usize>> {
-        #[allow(clippy::too_many_arguments)]
-        fn rec(
-            dim: usize,
-            v: &[usize],
-            sizes: &[u64],
-            strides: &[usize],
-            cap: u64,
-            weight: u64,
-            delta: usize,
-            s: &mut Vec<usize>,
-            vflat: usize,
-            values: &[u32],
-            target: u32,
-        ) -> bool {
-            if dim == v.len() {
-                return delta != 0 && values[vflat - delta] == target;
-            }
-            let size = sizes[dim];
-            let max_count = v[dim].min(((cap - weight) / size) as usize);
-            for count in 0..=max_count {
-                s[dim] = count;
-                if rec(
-                    dim + 1,
-                    v,
-                    sizes,
-                    strides,
-                    cap,
-                    weight + count as u64 * size,
-                    delta + count * strides[dim],
-                    s,
-                    vflat,
-                    values,
-                    target,
-                ) {
-                    return true;
-                }
-            }
-            s[dim] = 0;
-            false
-        }
         let mut s = vec![0usize; v.len()];
-        rec(
-            0,
+        walk_configs(
             v,
             &self.sizes,
             self.shape.strides(),
             self.cap,
-            0,
-            0,
+            Order::Ascending,
             &mut s,
-            vflat,
-            values,
-            target,
+            &mut |_, _, delta| {
+                if delta != 0 && values[vflat - delta] == target {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            },
         )
+        .is_break()
         .then_some(s)
     }
 }
@@ -946,6 +954,43 @@ mod tests {
         });
         assert_eq!(result, Err(1));
         assert_eq!(reads, 1);
+    }
+
+    #[test]
+    fn area_bound_sums_cell_weights_past_u64() {
+        // Σ vᵢ·sizeᵢ at the corner is 3·2⁶³ + 4·2⁶² = 2.5·2⁶⁴, past
+        // u64 (overflow checks are on in the release profile too). Bigs
+        // pair with at most one small each, so the fourth small needs a
+        // fourth machine.
+        let p = DpProblem::new(vec![3, 4], vec![1 << 63, 1 << 62], u64::MAX);
+        for engine in all_engines() {
+            let sol = p.solve(engine);
+            assert_eq!(sol.opt, 4, "engine {engine:?}");
+            let machines = p.extract_configs(&sol.values).unwrap();
+            assert_eq!(machines.len(), 4);
+        }
+    }
+
+    #[test]
+    fn the_area_bound_cuts_the_walk_without_changing_a_cell() {
+        // Every cell of this table meets its area bound, so the walk
+        // stops early in most cells; the values still equal the
+        // bin-packing oracle everywhere.
+        let p = DpProblem::new(vec![4, 4], vec![2, 3], 6);
+        let sol = p.solve_sequential();
+        let shape = p.shape().clone();
+        let mut full = 0u64;
+        for flat in 0..shape.size() {
+            let v = shape.unflatten(flat);
+            assert_eq!(
+                sol.values[flat],
+                min_bins(&items(&v, p.sizes()), p.cap()).unwrap() as u32
+            );
+            if flat > 0 {
+                full += crate::config::count_configs(&v, p.sizes(), p.cap());
+            }
+        }
+        assert!(sol.stats.configs_enumerated < full);
     }
 
     #[test]

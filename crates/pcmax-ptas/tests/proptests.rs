@@ -5,7 +5,7 @@ use pcmax_core::exact::{brute_force_makespan, min_bins};
 use pcmax_core::Instance;
 use pcmax_ptas::config::{count_configs, dominated_box_size};
 use pcmax_ptas::search::interval;
-use pcmax_ptas::{DpEngine, DpProblem, Ptas, SearchStrategy};
+use pcmax_ptas::{DpEngine, DpProblem, Ptas, SearchStrategy, INFEASIBLE};
 use pcmax_store::{StoreBudget, StoreConfig, TieredStore};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -61,6 +61,105 @@ fn expand(counts: &[usize], sizes: &[u64]) -> Vec<u64> {
         .collect()
 }
 
+/// DP problems for the exactness property: 0–6 classes (counts ≤ 2
+/// beyond 4 classes to keep tables small), sizes ≤ 20, and a capacity
+/// anywhere in `0..=2·max`, so some classes do not fit at all.
+fn exactness_dp() -> impl Strategy<Value = DpProblem> {
+    (0usize..=6)
+        .prop_flat_map(|d| {
+            let max_count = if d > 4 { 2 } else { 3 };
+            (
+                prop::collection::vec(0usize..=max_count, d),
+                prop::collection::vec(1u64..=20, d),
+                0u64..=40,
+            )
+        })
+        .prop_map(|(counts, sizes, cap)| {
+            let max = sizes.iter().copied().max().unwrap_or(20);
+            DpProblem::new(counts, sizes, cap % (2 * max + 1))
+        })
+}
+
+/// The configurations of `v` (zero vector included) in lexicographic
+/// order, by an odometer over the whole dominated box — no pruning, no
+/// early exit — with weights summed in u128.
+fn box_configs(v: &[usize], sizes: &[u64], cap: u64) -> Vec<Vec<usize>> {
+    let mut out = Vec::new();
+    let mut s = vec![0usize; v.len()];
+    loop {
+        let w: u128 = s
+            .iter()
+            .zip(sizes)
+            .map(|(&c, &z)| c as u128 * z as u128)
+            .sum();
+        if w <= cap as u128 {
+            out.push(s.clone());
+        }
+        let Some(dim) = (0..s.len()).rev().find(|&i| s[i] < v[i]) else {
+            return out;
+        };
+        s[dim] += 1;
+        s[dim + 1..].iter_mut().for_each(|x| *x = 0);
+    }
+}
+
+/// Paper Eq. 1 by full enumeration: every cell takes the minimum over
+/// all of its configurations.
+fn reference_table(p: &DpProblem) -> Vec<u32> {
+    let shape = p.shape();
+    let mut values = vec![0u32; shape.size()];
+    if p.counts().is_empty() {
+        return values;
+    }
+    for flat in 1..shape.size() {
+        let v = shape.unflatten(flat);
+        let best = box_configs(&v, p.sizes(), p.cap())
+            .iter()
+            .map(|s| {
+                s.iter()
+                    .zip(shape.strides())
+                    .map(|(&c, &st)| c * st)
+                    .sum::<usize>()
+            })
+            .filter(|&delta| delta != 0)
+            .map(|delta| values[flat - delta])
+            .min()
+            .unwrap_or(INFEASIBLE);
+        values[flat] = if best == INFEASIBLE {
+            INFEASIBLE
+        } else {
+            best + 1
+        };
+    }
+    values
+}
+
+/// The walk back from `N` over `reference_table`, taking at each cell
+/// the lexicographically first configuration one machine below it.
+fn reference_configs(p: &DpProblem, values: &[u32]) -> Option<Vec<Vec<usize>>> {
+    if *values.last().unwrap() == INFEASIBLE {
+        return None;
+    }
+    let shape = p.shape();
+    let mut v = p.counts().to_vec();
+    let mut machines = Vec::new();
+    while v.iter().any(|&x| x > 0) {
+        let flat = shape.flatten(&v);
+        let s = box_configs(&v, p.sizes(), p.cap())
+            .into_iter()
+            .find(|s| {
+                s.iter().any(|&c| c > 0) && {
+                    let below: Vec<usize> = v.iter().zip(s).map(|(&a, &b)| a - b).collect();
+                    values[shape.flatten(&below)] == values[flat] - 1
+                }
+            })
+            .expect("a finite cell has a predecessor");
+        v.iter_mut().zip(&s).for_each(|(a, &b)| *a -= b);
+        machines.push(s);
+    }
+    Some(machines)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -72,6 +171,27 @@ proptest! {
         prop_assert_eq!(&seq.values, &par.values);
         prop_assert_eq!(&seq.values, &blk.values);
         prop_assert_eq!(seq.opt, blk.opt);
+    }
+
+    #[test]
+    fn every_engine_equals_the_full_enumeration_recurrence(p in exactness_dp(),
+                                                           dim_limit in 1usize..=9) {
+        // The engines stop each cell at its area bound; the reference
+        // takes the minimum over every configuration. Tables and the
+        // extracted configurations must not differ in a single cell.
+        let reference = reference_table(&p);
+        let expect_configs = reference_configs(&p, &reference);
+        let store = Arc::new(TieredStore::open(&StoreConfig {
+            budget: StoreBudget::bytes(1 << 20),
+            spill_dir: None,
+        }).unwrap());
+        let paged = p.solve_paged(dim_limit, store).expect("roomy paged solve");
+        let engines = [DpEngine::Sequential, DpEngine::AntiDiagonal, DpEngine::Blocked { dim_limit }];
+        for sol in engines.iter().map(|&e| p.solve(e)).chain([paged]) {
+            prop_assert_eq!(&sol.values, &reference);
+            prop_assert_eq!(sol.opt, *reference.last().unwrap());
+            prop_assert_eq!(&p.extract_configs(&sol.values), &expect_configs);
+        }
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! The service's solve path runs the bisection of
 //! [`pcmax_ptas::search::converge`] with probes backed by the shared
-//! [`ShardedCache`]: every DP probe first canonicalises its rounded
-//! problem to a [`DpKey`] — `(class counts, gcd-normalised sizes,
-//! normalised capacity)` — and consults the cache. Distinct instances
+//! [`DpCache`]: every DP probe first canonicalises its rounded problem
+//! to a [`DpKey`](pcmax_ptas::DpKey) — `(class counts, gcd-normalised
+//! sizes, normalised capacity)` — and consults the cache. Distinct instances
 //! (and distinct targets of the *same* instance) frequently collapse to
 //! the same key, so a warm service answers most probes without running
 //! the DP at all.
@@ -14,14 +14,14 @@
 //! request is just `OPT(N) ≤ m` — so a solution cached for one `m` is
 //! reusable verbatim for any other.
 
-use crate::cache::ShardedCache;
+pub use crate::cache::{entry_cost, DpCache};
 use crate::warm::WarmTier;
 use pcmax_core::{bounds, Instance, Schedule};
 use pcmax_ptas::dp::INFEASIBLE;
 use pcmax_ptas::ptas::assemble_schedule;
 use pcmax_ptas::rounding::{Rounding, RoundingOutcome};
 use pcmax_ptas::search::{self, interval};
-use pcmax_ptas::{DpEngine, DpKey, DpProblem};
+use pcmax_ptas::{DpEngine, DpProblem};
 use pcmax_sparse::{PlannedRepr, SparseError, SparsePrediction};
 use pcmax_store::{ScratchDir, StoreBudget, StoreConfig, StoreStats, TieredStore};
 use std::path::PathBuf;
@@ -29,11 +29,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// The DP cache the whole service shares.
-pub type DpCache = ShardedCache<DpKey, CachedDp>;
-
-/// A memoised DP outcome, keyed by [`DpKey`].
-#[derive(Clone)]
+/// A memoised DP outcome, keyed by [`DpKey`](pcmax_ptas::DpKey).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CachedDp {
     /// `OPT(N)`: minimum machines for the rounded long jobs
     /// ([`INFEASIBLE`] when they cannot be packed at all).
@@ -41,21 +38,6 @@ pub struct CachedDp {
     /// Machine configurations realising `opt` (absent when infeasible).
     /// `Arc`-shared: hits clone the pointer, not the table walk.
     pub configs: Option<Arc<Vec<Vec<usize>>>>,
-}
-
-/// Estimated resident bytes of one cache entry: key vectors (held twice,
-/// in the index and the slab node), config vectors with their `Vec`
-/// headers, plus fixed slab/index/`Arc` overhead. An estimate — the
-/// cache budget bounds approximate memory, not allocator-exact bytes.
-pub fn entry_cost(key: &DpKey, entry: &CachedDp) -> u64 {
-    let key_bytes = (key.counts().len() + key.sizes().len()) as u64 * 8 + 8;
-    let config_bytes = entry.configs.as_ref().map_or(0, |configs| {
-        24 + configs
-            .iter()
-            .map(|c| 24 + 8 * c.len() as u64)
-            .sum::<u64>()
-    });
-    96 + 2 * key_bytes + config_bytes
 }
 
 /// Why a request could not be answered by the PTAS.

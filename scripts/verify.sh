@@ -30,6 +30,23 @@ cargo clippy --workspace --all-targets -q -- -D warnings
 # its lockfile: this fails if a public API it calls changes or if
 # solvebench/Cargo.lock would change.
 cargo test --release --offline --locked -q --manifest-path solvebench/Cargo.toml
+# Benchmark smoke: each solvebench workload once for 2 s. It fails
+# unless the run exits 0 and its last line reports `"correct": true`, so
+# a change that breaks a benchmark premise (a set-up that never
+# finishes, a wrong answer) fails here.
+for workload in dp-dense path-hot; do
+  out=$(cargo run --release --offline --locked -q --manifest-path solvebench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 2 --trace 0) || {
+    echo "$out"
+    echo "solvebench $workload exited non-zero" >&2
+    exit 1
+  }
+  if ! tail -n 1 <<<"$out" | grep -q '"correct": true'; then
+    echo "$out"
+    echo "solvebench $workload: the last line does not report a correct run" >&2
+    exit 1
+  fi
+done
 
 # Cluster smoke: a tiny sharded-serving workload through the real
 # coordinator + loopback workers, with a mid-load kill to exercise

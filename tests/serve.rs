@@ -463,11 +463,14 @@ fn auto_portfolio_never_costs_more_than_the_worst_pinned_arm() {
     // The selector exists to beat naive pinning, so costing more than
     // the worst possible pin is a regression. The same load runs under
     // `auto` and once per fixed arm; `exact` is skipped because it
-    // declines instances above its job cap and these have 20 jobs.
-    let pool: Vec<_> = (0..2).map(|s| uniform(s, 20, 3, 1, 100)).collect();
+    // declines instances above its job cap and these have 36 jobs. The
+    // pool has the dp-dense shape (36 jobs, 12 machines, U[30,100]), so
+    // the ptas arm runs a DP.
+    let pool: Vec<_> = (0..2).map(|s| uniform(s, 36, 12, 30, 100)).collect();
     // The DP entries of one pass over the pool: every later request
     // repeats an instance, so the auto run must compute no others.
     let one_pass = one_pass(&pool, Duration::from_secs(2));
+    assert!(one_pass.misses > 0, "premise: the pool runs a DP: {one_pass:?}");
     let run = |portfolio| {
         let config = ServeConfig {
             portfolio,
