@@ -1087,6 +1087,24 @@ mod tests {
     }
 
     #[test]
+    fn paged_levels_wide_enough_for_the_pool_fault_concurrently_and_agree() {
+        // Seven extent-4 dimensions in 2-cell blocks: 128 blocks on 8
+        // block-levels, two of them 35 blocks wide, enough for the
+        // thread pool to split. A 16-page budget makes those levels
+        // fault and demote pages of one store from several threads.
+        let p = DpProblem::new(vec![3; 7], vec![3, 4, 5, 6, 7, 8, 9], 16);
+        let reference = p.solve_sequential();
+        let (store, dir) = tiny_store("wide", 16 * 128, true);
+        let sol = p.solve_paged(7, Arc::clone(&store)).expect("paged solve");
+        assert_eq!((sol.stats.num_blocks, sol.stats.num_block_levels), (128, 8));
+        assert_eq!(sol.values, reference.values);
+        assert_eq!(p.solve_blocked(7).values, reference.values);
+        let stats = store.stats();
+        assert!(stats.faults > 0 && stats.demotions > 0, "{stats:?}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn paged_engine_spills_and_faults_when_the_table_exceeds_the_budget() {
         let p = DpProblem::new(vec![5, 5, 5], vec![3, 4, 5], 20);
         let (store, dir) = tiny_store("spill", 300, true);

@@ -17,8 +17,8 @@
 //!   [`pcmax_ptas::DpProblem::canonical_key`], so repeated or similar
 //!   instances skip the DP entirely; the cache is sharded and LRU-bounded.
 //! * **Batching** — workers drain requests in batches and bucket them by
-//!   the rounding parameter `k`, maximising cache-key locality; buckets
-//!   run on the rayon pool.
+//!   the rounding parameter `k`, maximising cache-key locality; each
+//!   worker solves its buckets in turn.
 //! * **Representation ladder** — under [`solver::ReprPolicy::Auto`] each
 //!   probe is *predicted* into the cheapest representation that fits the
 //!   cell budget: a dense in-RAM table, the sparse frontier of
@@ -40,7 +40,6 @@ pub mod stats;
 pub mod tcp;
 pub mod warm;
 
-pub use cache::ShardedCache;
 pub use client::{Client, ClientError, ClientReply};
 pub use portfolio::{
     descended_net, solve_portfolio, Arm, PortfolioCounters, PortfolioOutcome, PortfolioPolicy,

@@ -25,7 +25,6 @@ use pcmax_improve::{ImproveConfig, ImproveMode};
 use pcmax_ptas::DpEngine;
 use pcmax_store::StoreBudget;
 use pcmax_warmsync::{ReplicaBudget, ShipEntry, WarmDigest};
-use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::path::PathBuf;
@@ -606,18 +605,17 @@ impl WorkerCtx {
             }
             // Bucket the batch by k: requests sharing a rounding
             // parameter also share DP cache keys, so solving them
-            // back-to-back maximises hit locality. Buckets then run on
-            // the rayon pool (each solve may itself be a parallel DP).
+            // back-to-back maximises hit locality. Buckets run on this
+            // worker, one after another: `workers` is the service's one
+            // concurrency setting, and each solve's DP levels use the
+            // shared pool when it is free.
             let mut buckets: BTreeMap<u64, Vec<QueuedJob>> = BTreeMap::new();
             for job in batch {
                 buckets.entry(job.k).or_default().push(job);
             }
-            let groups: Vec<Vec<QueuedJob>> = buckets.into_values().collect();
-            groups.into_par_iter().for_each(|group| {
-                for job in group {
-                    self.solve_one(job);
-                }
-            });
+            for job in buckets.into_values().flatten() {
+                self.solve_one(job);
+            }
         }
     }
 

@@ -22,6 +22,12 @@ done
 # Every workspace crate's suites (unit, integration, proptests), not only
 # the facade package's.
 cargo test --workspace -q
+# The one-thread path: pinned to one core, the rayon pool has no helper
+# and every parallel call runs on its caller. The shim's tests and the
+# DP engines must pass that way too.
+if command -v taskset >/dev/null; then
+  taskset -c 0 cargo test -q -p rayon -p pcmax-ptas
+fi
 # Lints over every target (tests, benches, examples included): any
 # warning fails the gate.
 cargo clippy --workspace --all-targets -q -- -D warnings
