@@ -19,6 +19,7 @@
 //! and `jobsPerBlock × (block_size[i]+1)` do not index a permutation, so we
 //! implement the corrected arithmetic and prove bijectivity in tests.
 
+use crate::antidiag::LevelBuckets;
 use crate::partition::Divisor;
 use crate::shape::Shape;
 
@@ -197,40 +198,38 @@ impl BlockedLayout {
 /// block of `v`, and equal level + componentwise ≤ forces equality.
 #[derive(Debug, Clone)]
 pub struct BlockLevels {
-    levels: Vec<Vec<usize>>,
+    /// The block grid's anti-diagonal levels.
+    levels: LevelBuckets,
 }
 
 impl BlockLevels {
     /// Groups the layout's blocks by block-level.
     pub fn new(layout: &BlockedLayout) -> Self {
-        let grid = layout.grid();
-        let mut levels: Vec<Vec<usize>> = vec![Vec::new(); grid.max_level() + 1];
-        for bf in 0..grid.size() {
-            levels[grid.level_of_flat(bf)].push(bf);
+        Self {
+            levels: LevelBuckets::new(layout.grid()),
         }
-        Self { levels }
     }
 
     #[inline]
     /// Number of block-levels.
     pub fn num_levels(&self) -> usize {
-        self.levels.len()
+        self.levels.num_levels()
     }
 
-    /// Flat block ids on block-level `l`.
+    /// Flat block ids on block-level `l`, in increasing order.
     #[inline]
     pub fn level(&self, l: usize) -> &[usize] {
-        &self.levels[l]
+        self.levels.level(l)
     }
 
     /// Iterates `(block_level, block_ids)` pairs in dependency order.
     pub fn iter(&self) -> impl Iterator<Item = (usize, &[usize])> {
-        self.levels.iter().enumerate().map(|(l, b)| (l, b.as_slice()))
+        self.levels.iter()
     }
 
     /// Width of the widest block-level (peak block concurrency).
     pub fn max_width(&self) -> usize {
-        self.levels.iter().map(Vec::len).max().unwrap_or(0)
+        self.levels.max_width()
     }
 }
 

@@ -197,8 +197,8 @@ mod tests {
             .sum();
         assert_eq!(a.total_deps(), full - (p.table_size() as u64 - 1));
         assert!(a.total_deps() > 0);
-        // The DP stops each cell at its area bound, so it visits at most
-        // the full enumeration.
+        // The DP decides cells from their neighbours and stops each walk
+        // early, so it visits at most the full enumeration.
         let sol = p.solve(DpEngine::Sequential);
         assert!(sol.stats.configs_enumerated <= full);
     }

@@ -45,6 +45,7 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::convert::Infallible;
 use std::ops::ControlFlow;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Sentinel for "no feasible packing" (some single job exceeds `cap`).
@@ -230,6 +231,34 @@ fn dep_blocks_below(layout: &BlockedLayout, next: &[usize], max_level: usize) ->
     out
 }
 
+/// One thread's scratch for one level of the anti-diagonal sweep. Its
+/// configuration count joins the level's total when the thread leaves
+/// the level.
+struct LevelScratch<'a> {
+    v: Vec<usize>,
+    s: Vec<usize>,
+    configs: u64,
+    level_configs: &'a AtomicU64,
+}
+
+impl<'a> LevelScratch<'a> {
+    fn new(ndim: usize, level_configs: &'a AtomicU64) -> Self {
+        Self {
+            v: vec![0; ndim],
+            s: vec![0; ndim],
+            configs: 0,
+            level_configs,
+        }
+    }
+}
+
+impl Drop for LevelScratch<'_> {
+    fn drop(&mut self) {
+        self.level_configs
+            .fetch_add(self.configs, Ordering::Relaxed);
+    }
+}
+
 /// Statistics of one DP run — the quantities the execution models charge.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DpStats {
@@ -238,8 +267,10 @@ pub struct DpStats {
     /// Anti-diagonal levels swept (`n′ + 1` for unblocked engines).
     pub num_levels: usize,
     /// Configurations visited across all cells (the DP's inner-loop trip
-    /// count). Each cell stops at its area bound, so this is at most
-    /// the full enumeration [`crate::config::count_configs`] sums to.
+    /// count). A cell its neighbours decide visits none, and a walk stops
+    /// at the first configuration that meets the neighbours' bound, so
+    /// this is at most the full enumeration
+    /// [`crate::config::count_configs`] sums to.
     pub configs_enumerated: u64,
     /// Number of blocks (1 unless `Blocked`).
     pub num_blocks: usize,
@@ -351,14 +382,25 @@ impl DpProblem {
     /// `read(s, delta)` must return the final value of `v − s` (`delta`
     /// is its row-major offset below `v`), a cell on a smaller
     /// anti-diagonal level. The first read error aborts the cell. `s` is
-    /// the caller's all-zero enumeration buffer, one entry per class.
+    /// the caller's all-zero enumeration buffer, one entry per class,
+    /// and holds zeros again when the call returns.
     /// Returns the cell value and the number of configurations visited.
     ///
-    /// Configurations are visited heaviest-first ([`Order::Descending`])
-    /// and the walk stops at the first `v − s` whose value reaches the
-    /// area bound `⌈w(v)/cap⌉ − 1`, where `w(v) = Σ vᵢ·sizeᵢ`: every
-    /// `v − s` weighs at least `w(v) − cap`, so no configuration can do
-    /// better, and the cell value is the one the full minimum gives.
+    /// The neighbours `v − eᵢ` (one per class with `vᵢ > 0`) bracket the
+    /// cell. With `L` and `H` their largest and smallest value and
+    /// `w(v) = Σ vᵢ·sizeᵢ` (summed in u128, as it can pass u64):
+    ///
+    /// * a class of `v` with `sizeᵢ > cap` makes the cell [`INFEASIBLE`],
+    ///   and nothing is read;
+    /// * `OPT(v) ≥ max(L, ⌈w(v)/cap⌉)`: OPT is monotone in `v`, and no
+    ///   machine holds more than `cap`;
+    /// * `OPT(v) ≤ H + 1`: the extra job can go on a machine of its own.
+    ///
+    /// So `L > H` or `w(v) > H·cap` decides the cell as `H + 1` with no
+    /// walk. Otherwise the value is `H` or `H + 1`: configurations are
+    /// visited heaviest-first ([`Order::Descending`]) until one leaves a
+    /// `v − s` of value `H − 1`, which makes the value `H`; if none does,
+    /// it is `H + 1`. Either way it is the value the full minimum gives.
     #[inline]
     fn compute_cell<E>(
         &self,
@@ -366,14 +408,39 @@ impl DpProblem {
         s: &mut [usize],
         mut read: impl FnMut(&[usize], usize) -> Result<u32, E>,
     ) -> Result<(u32, u64), E> {
-        if v.iter().all(|&x| x == 0) {
+        if v.iter()
+            .zip(&self.sizes)
+            .any(|(&n, &size)| n > 0 && size > self.cap)
+        {
+            return Ok((INFEASIBLE, 0));
+        }
+        let strides = self.shape.strides();
+        let mut weight = 0u128;
+        let (mut low, mut high) = (0u32, INFEASIBLE);
+        for i in 0..v.len() {
+            if v[i] == 0 {
+                continue;
+            }
+            weight = weight.saturating_add(v[i] as u128 * self.sizes[i] as u128);
+            s[i] = 1;
+            let neighbour = read(s, strides[i]);
+            s[i] = 0;
+            let neighbour = neighbour?;
+            low = low.max(neighbour);
+            high = high.min(neighbour);
+        }
+        // No neighbour: the origin. Every class of `v` fits, so every
+        // neighbour is finite and `high + 1` cannot overflow.
+        if high == INFEASIBLE {
             return Ok((0, 0));
         }
-        let floor = self.area_floor(v);
-        let mut best = INFEASIBLE;
+        if low > high || weight > high as u128 * self.cap as u128 {
+            return Ok((high + 1, 0));
+        }
+        // `w(v) ≤ H·cap` with `w(v) > 0` gives `H ≥ 1`.
+        let target = high - 1;
         let mut visited = 0u64;
         let mut err = None;
-        let strides = self.shape.strides();
         let walk = walk_configs(
             v,
             &self.sizes,
@@ -388,19 +455,13 @@ impl DpProblem {
                     return ControlFlow::Continue(());
                 }
                 match read(s, delta) {
-                    Ok(val) if val < best => {
-                        best = val;
-                        if val == floor {
-                            return ControlFlow::Break(());
-                        }
-                    }
-                    Ok(_) => {}
+                    Ok(val) if val <= target => ControlFlow::Break(()),
+                    Ok(_) => ControlFlow::Continue(()),
                     Err(e) => {
                         err = Some(e);
-                        return ControlFlow::Break(());
+                        ControlFlow::Break(())
                     }
                 }
-                ControlFlow::Continue(())
             },
         );
         if walk.is_break() {
@@ -409,29 +470,8 @@ impl DpProblem {
         if let Some(e) = err {
             return Err(e);
         }
-        let value = if best == INFEASIBLE {
-            INFEASIBLE
-        } else {
-            best + 1
-        };
+        let value = if walk.is_break() { high } else { high + 1 };
         Ok((value, visited))
-    }
-
-    /// `⌈w(v)/cap⌉ − 1 = ⌊(w(v) − 1)/cap⌋` for a non-zero cell `v`: the
-    /// least value any predecessor `v − s` can hold. The weight is summed
-    /// in u128 because `Σ vᵢ·sizeᵢ` can exceed u64 for near-max sizes. A
-    /// bound no cell value can reach (zero capacity, or one at or above
-    /// [`INFEASIBLE`]) comes back as [`INFEASIBLE`], which never stops a
-    /// walk.
-    #[inline]
-    fn area_floor(&self, v: &[usize]) -> u32 {
-        let weight = v.iter().zip(&self.sizes).fold(0u128, |acc, (&n, &size)| {
-            acc.saturating_add(n as u128 * size as u128)
-        });
-        (weight - 1)
-            .checked_div(self.cap as u128)
-            .and_then(|q| u32::try_from(q).ok())
-            .unwrap_or(INFEASIBLE)
     }
 
     /// Solves with the chosen engine.
@@ -449,7 +489,6 @@ impl DpProblem {
         let sigma = self.shape.size();
         let mut values = vec![0u32; sigma];
         let mut configs = 0u64;
-        let mut v = vec![0usize; self.shape.ndim()];
         let mut s = vec![0usize; self.shape.ndim()];
         // Row-major order interleaves anti-diagonal levels, so per-level
         // timing is meaningless here; when recording, cells are still
@@ -459,10 +498,12 @@ impl DpProblem {
         } else {
             Vec::new()
         };
+        // A row-major odometer steps `v` from cell to cell.
+        let mut cells = self.shape.iter();
         for flat in 0..sigma {
-            self.shape.unflatten_into(flat, &mut v);
+            let v = cells.next_ref().expect("one multi-index per cell");
             let Ok((val, c)) =
-                self.compute_cell(&v, &mut s, |_, d| Ok::<_, Infallible>(values[flat - d]));
+                self.compute_cell(v, &mut s, |_, d| Ok::<_, Infallible>(values[flat - d]));
             values[flat] = val;
             configs += c;
             if !levels.is_empty() {
@@ -477,33 +518,33 @@ impl DpProblem {
     /// Anti-diagonal wavefront with rayon (Algorithm 2).
     pub fn solve_antidiagonal(&self) -> DpSolution {
         let timer = pcmax_obs::Timer::start();
-        let sigma = self.shape.size();
         let levels = LevelBuckets::new(&self.shape);
         let ndim = self.shape.ndim();
-        let mut values = vec![0u32; sigma];
+        // Each cell is written once, by the thread that computes it, and
+        // read only by cells of later levels. The pool orders every write
+        // of a call before the call returns (a helper leaves with a
+        // Release decrement that the caller's Acquire wait reads), and
+        // the caller's writes before the next call's helpers join (an
+        // Acquire exchange on the state the caller publishes), so relaxed
+        // loads and stores suffice.
+        let values: Vec<AtomicU32> = (0..self.shape.size()).map(|_| AtomicU32::new(0)).collect();
         let mut configs = 0u64;
         let mut level_stats = Vec::new();
         for (_, cells) in levels.iter() {
             let level_timer = pcmax_obs::Timer::start();
-            // All reads hit strictly smaller levels, so `values` can be
-            // shared immutably; writes are applied after the level.
-            let results: Vec<(usize, u32, u64)> = cells
-                .par_iter()
-                .map_init(
-                    || (vec![0usize; ndim], vec![0usize; ndim]),
-                    |(v, s), &flat| {
-                        self.shape.unflatten_into(flat, v);
-                        let Ok((val, c)) =
-                            self.compute_cell(v, s, |_, d| Ok::<_, Infallible>(values[flat - d]));
-                        (flat, val, c)
-                    },
-                )
-                .collect();
-            let mut level_configs = 0u64;
-            for (flat, val, c) in results {
-                values[flat] = val;
-                level_configs += c;
-            }
+            let level_configs = AtomicU64::new(0);
+            cells.par_iter().for_each_init(
+                || LevelScratch::new(ndim, &level_configs),
+                |scratch, &flat| {
+                    self.shape.unflatten_into(flat, &mut scratch.v);
+                    let Ok((val, c)) = self.compute_cell(&scratch.v, &mut scratch.s, |_, d| {
+                        Ok::<_, Infallible>(values[flat - d].load(Ordering::Relaxed))
+                    });
+                    values[flat].store(val, Ordering::Relaxed);
+                    scratch.configs += c;
+                },
+            );
+            let level_configs = level_configs.into_inner();
             configs += level_configs;
             if level_timer.is_recording() {
                 level_stats.push(DpLevelStat {
@@ -513,6 +554,7 @@ impl DpProblem {
                 });
             }
         }
+        let values = values.into_iter().map(AtomicU32::into_inner).collect();
         self.finish(values, configs, 1, 1, timer.elapsed_us(), level_stats)
     }
 
@@ -973,9 +1015,9 @@ mod tests {
 
     #[test]
     fn the_area_bound_cuts_the_walk_without_changing_a_cell() {
-        // Every cell of this table meets its area bound, so the walk
-        // stops early in most cells; the values still equal the
-        // bin-packing oracle everywhere.
+        // Every cell of this table meets its area bound, so most cells
+        // are decided by their neighbours or stop their walk early; the
+        // values still equal the bin-packing oracle everywhere.
         let p = DpProblem::new(vec![4, 4], vec![2, 3], 6);
         let sol = p.solve_sequential();
         let shape = p.shape().clone();
@@ -991,6 +1033,31 @@ mod tests {
             }
         }
         assert!(sol.stats.configs_enumerated < full);
+    }
+
+    #[test]
+    fn neighbours_decide_most_cells_without_a_walk() {
+        // On this table the neighbour bound settles most cells outright,
+        // so every engine visits fewer configurations than there are
+        // non-zero cells (a walk visits at least one); every cell still
+        // equals the bin-packing oracle.
+        let p = DpProblem::new(vec![5, 4, 3], vec![3, 5, 7], 10);
+        let shape = p.shape().clone();
+        let (store, _dir) = tiny_store("neighbours", 1 << 20, false);
+        let paged = p.solve_paged(3, store).expect("paged solve");
+        for sol in all_engines().into_iter().map(|e| p.solve(e)).chain([paged]) {
+            assert!(
+                sol.stats.configs_enumerated < (shape.size() - 1) as u64,
+                "{} configurations for {} non-zero cells",
+                sol.stats.configs_enumerated,
+                shape.size() - 1
+            );
+            for flat in 0..shape.size() {
+                let v = shape.unflatten(flat);
+                let expect = min_bins(&items(&v, p.sizes()), p.cap()).unwrap() as u32;
+                assert_eq!(sol.values[flat], expect, "cell {v:?}");
+            }
+        }
     }
 
     #[test]

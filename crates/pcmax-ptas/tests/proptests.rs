@@ -161,24 +161,17 @@ fn reference_configs(p: &DpProblem, values: &[u32]) -> Option<Vec<Vec<usize>>> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn dp_engines_agree(p in small_dp(), dim_limit in 1usize..=9) {
-        let seq = p.solve(DpEngine::Sequential);
-        let par = p.solve(DpEngine::AntiDiagonal);
-        let blk = p.solve(DpEngine::Blocked { dim_limit });
-        prop_assert_eq!(&seq.values, &par.values);
-        prop_assert_eq!(&seq.values, &blk.values);
-        prop_assert_eq!(seq.opt, blk.opt);
-    }
+    // Every cell of every engine against the full recurrence: more cases
+    // than the other properties, as this one guards the neighbour bound.
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn every_engine_equals_the_full_enumeration_recurrence(p in exactness_dp(),
                                                            dim_limit in 1usize..=9) {
-        // The engines stop each cell at its area bound; the reference
-        // takes the minimum over every configuration. Tables and the
-        // extracted configurations must not differ in a single cell.
+        // The engines decide cells from their neighbours and stop each
+        // walk at the neighbours' bound; the reference takes the minimum
+        // over every configuration. Tables and the extracted
+        // configurations must not differ in a single cell.
         let reference = reference_table(&p);
         let expect_configs = reference_configs(&p, &reference);
         let store = Arc::new(TieredStore::open(&StoreConfig {
@@ -192,6 +185,20 @@ proptest! {
             prop_assert_eq!(sol.opt, *reference.last().unwrap());
             prop_assert_eq!(&p.extract_configs(&sol.values), &expect_configs);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn dp_engines_agree(p in small_dp(), dim_limit in 1usize..=9) {
+        let seq = p.solve(DpEngine::Sequential);
+        let par = p.solve(DpEngine::AntiDiagonal);
+        let blk = p.solve(DpEngine::Blocked { dim_limit });
+        prop_assert_eq!(&seq.values, &par.values);
+        prop_assert_eq!(&seq.values, &blk.values);
+        prop_assert_eq!(seq.opt, blk.opt);
     }
 
     #[test]

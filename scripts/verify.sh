@@ -28,6 +28,10 @@ cargo test --workspace -q
 if command -v taskset >/dev/null; then
   taskset -c 0 cargo test -q -p rayon -p pcmax-ptas
 fi
+# The paper ladder: the five dense engines must agree cell for cell on
+# the σ 12960 table, and the anti-diagonal and sequential sweeps solve
+# every table up to σ 403200 (3 timed solves each).
+cargo run --release -q --example dp_engines -- 3
 # Lints over every target (tests, benches, examples included): any
 # warning fails the gate.
 cargo clippy --workspace --all-targets -q -- -D warnings
