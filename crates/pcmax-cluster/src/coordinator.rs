@@ -58,9 +58,6 @@ pub struct ClusterConfig {
     /// ranked after every unpressured worker, so failover traffic flows
     /// to workers with cache headroom first.
     pub pressure_threshold_pct: u64,
-    /// Whether the warmsync engine runs: heartbeat-driven warm-log
-    /// replication. See [`Coordinator::sync_warm`].
-    pub warmsync: bool,
     /// Replication factor R: every warm entry is kept by its rendezvous
     /// primary plus the next `R − 1` successors for its key. `1` =
     /// primary only.
@@ -80,7 +77,6 @@ impl Default for ClusterConfig {
             default_epsilon: 0.3,
             default_deadline: Duration::from_secs(2),
             pressure_threshold_pct: 90,
-            warmsync: true,
             replication_factor: 2,
         }
     }
@@ -513,9 +509,7 @@ impl Coordinator {
             // Warm replication rides the heartbeat cadence: the sync
             // round sees the `warm_seq` this beat just reported and any
             // live-set change (join, crash, revival) it caused.
-            if self.config.warmsync {
-                let _ = self.sync_warm();
-            }
+            let _ = self.sync_warm();
         }
     }
 

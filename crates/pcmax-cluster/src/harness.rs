@@ -1,8 +1,8 @@
 //! In-process multi-worker harness: spins up N real [`Service`]s behind
 //! real loopback TCP front-ends and a [`Coordinator`] routing over them.
-//! Everything runs in one process, so integration tests (and
-//! `pcmax bench-cluster`) can kill workers mid-load, join replacements,
-//! and inspect each worker's service directly.
+//! Everything runs in one process, so integration tests can kill
+//! workers mid-load, join replacements, and inspect each worker's
+//! service directly.
 
 use crate::coordinator::{ClusterConfig, Coordinator};
 use pcmax_serve::{serve_tcp, ServeConfig, Service, TcpHandle};

@@ -135,7 +135,7 @@ impl WorkerReport {
 
 /// Point-in-time cluster snapshot: coordinator totals plus one
 /// [`WorkerReport`] per registered worker. The payload of the cluster
-/// front-end's `stats` verb and of `BENCH_cluster.json`.
+/// front-end's `stats` verb.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterReport {
     /// Microseconds since the coordinator started.

@@ -6,8 +6,7 @@
 //! topology lives in one place and a worker needs no peer discovery.
 //!
 //! One [`Coordinator::sync_warm`] round (heartbeat-driven, also
-//! callable directly by tests and `pcmax bench-cluster --churn`) is two
-//! steps:
+//! callable directly by tests) is two steps:
 //!
 //! 1. **Digest refresh.** For each live worker whose heartbeat-reported
 //!    `warm_seq` differs from the cached digest's, a fresh
@@ -39,16 +38,13 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// What one [`Coordinator::sync_warm`] round did, for tests and the
-/// churn benchmark.
+/// What one [`Coordinator::sync_warm`] round moved, for tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SyncOutcome {
     /// Entries pushed to replicas or new owners this round.
     pub shipped: u64,
     /// Entries pulled from donors this round.
     pub pulled: u64,
-    /// Whether the live set changed since the previous round.
-    pub rebalanced: bool,
 }
 
 /// The key-hash → holder-ids map built from cached digests.
@@ -56,13 +52,9 @@ type Holders = HashMap<u64, HashSet<String>>;
 
 impl Coordinator {
     /// Runs one warmsync round (see the module docs). Serialised by an
-    /// internal lock: the heartbeat loop and direct callers (tests,
-    /// benchmarks) never interleave rounds. No-op when
-    /// `ClusterConfig::warmsync` is off.
+    /// internal lock: the heartbeat loop and direct callers (tests)
+    /// never interleave rounds.
     pub fn sync_warm(&self) -> SyncOutcome {
-        if !self.config().warmsync {
-            return SyncOutcome::default();
-        }
         let _round = self.sync_lock.lock().expect("sync lock poisoned");
         let mut outcome = SyncOutcome::default();
         let live = self.live_nodes();
@@ -73,7 +65,6 @@ impl Coordinator {
             let mut last = self.last_membership.lock().expect("membership poisoned");
             if *last != live_ids {
                 if !last.is_empty() {
-                    outcome.rebalanced = true;
                     self.stats.rebalance_events.inc();
                 }
                 last.clone_from(&live_ids);

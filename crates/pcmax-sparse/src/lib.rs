@@ -22,8 +22,8 @@
 //!   module docs of [`sweep`] for the invariant), which is what makes the
 //!   cell-for-cell differential audit against the dense engines sound;
 //! * [`predict::predict`] estimates the resident frontier against the
-//!   dense table's byte cost (the `pcmax-store` page codec), so a serving
-//!   layer can choose dense vs sparse vs paged *before* allocating
+//!   dense table's cell count, so a serving layer can choose dense vs
+//!   sparse vs paged *before* allocating
 //!   anything — [`predict::SparsePrediction::choose`] is that ladder;
 //! * [`sweep::SparseProblem::solve_bounded`] hard-caps resident cells and
 //!   returns [`SparseError::FrontierOverflow`] instead of allocating past

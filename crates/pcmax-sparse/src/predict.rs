@@ -1,10 +1,9 @@
 //! The cheap representation predictor.
 //!
 //! Before a serving layer commits to a DP representation it needs two
-//! numbers it can compute in microseconds: what the dense table costs
-//! (cells, and bytes under the `pcmax-store` page codec — the cost model
-//! the paged engine actually pays), and roughly how many cells the sparse
-//! frontier would keep resident. [`predict`] supplies both;
+//! numbers it can compute in microseconds: how many cells the dense
+//! table has, and roughly how many cells the sparse frontier would keep
+//! resident. [`predict`] supplies both;
 //! [`SparsePrediction::choose`] turns them into the dense → sparse →
 //! paged admission ladder.
 //!
@@ -17,8 +16,6 @@
 //! guarantee — the runtime cap of
 //! [`crate::sweep::SparseProblem::solve_bounded`] is the authoritative
 //! backstop when an instance defeats the model.
-
-use pcmax_store::PAGE_HEADER_BYTES;
 
 /// Which DP representation the ladder picks for a probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,31 +38,14 @@ impl std::fmt::Display for PlannedRepr {
     }
 }
 
-/// Cost estimates for one DP problem under each representation.
+/// Cell-count estimates for one DP problem under each representation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SparsePrediction {
     /// Dense table size `Π(nᵢ+1)`, saturating at `u64::MAX`.
     pub dense_cells: u64,
-    /// Dense table bytes under the `pcmax-store` page codec (header +
-    /// 4 bytes/cell), saturating.
-    pub dense_bytes: u64,
     /// Estimated resident sparse cells (upper-biased model, see module
     /// docs), always ≤ `dense_cells`.
     pub est_sparse_cells: u64,
-    /// `est_sparse_cells` × [`bytes_per_sparse_cell`], saturating.
-    pub est_sparse_bytes: u64,
-    /// Area lower bound `⌈Σ nᵢ·sizeᵢ / cap⌉` on machines used, clamped
-    /// to `[1, n′]` (the `M̂` the estimate scales with).
-    pub est_machines: u64,
-}
-
-/// Estimated resident bytes per sparse frontier cell: the cell key and
-/// `via` configuration boxes (4 bytes × `ndim` each), the hash-map and
-/// level-bucket entries that index them, and the `CellInfo` itself.
-pub fn bytes_per_sparse_cell(ndim: usize) -> u64 {
-    // key + via payloads, duplicated key in the level bucket, plus
-    // ~48 bytes of map/Box/struct overhead per cell.
-    12 * ndim as u64 + 48
 }
 
 /// Builds the prediction for `(counts, sizes, cap)` — the same triple a
@@ -75,13 +55,13 @@ pub fn predict(counts: &[usize], sizes: &[u64], cap: u64) -> SparsePrediction {
     let dense_cells = counts
         .iter()
         .fold(1u64, |acc, &c| acc.saturating_mul(c as u64 + 1));
-    let dense_bytes = (PAGE_HEADER_BYTES as u64).saturating_add(dense_cells.saturating_mul(4));
     let n_prime: u64 = counts.iter().map(|&c| c as u64).sum();
     let work: u128 = counts
         .iter()
         .zip(sizes)
         .map(|(&c, &s)| c as u128 * s as u128)
         .sum();
+    // M̂: the area bound on machines used, clamped to [1, n′].
     let est_machines = (work.div_ceil(cap.max(1) as u128) as u64)
         .clamp(1, n_prime.max(1));
     // (M̂ + 2) value surfaces of twice the average anti-diagonal width,
@@ -91,14 +71,9 @@ pub fn predict(counts: &[usize], sizes: &[u64], cap: u64) -> SparsePrediction {
         .saturating_mul(2 * avg_width as u128)
         .saturating_add(n_prime as u128 + 2);
     let est_sparse_cells = u64::try_from(est).unwrap_or(u64::MAX).min(dense_cells.max(n_prime + 2));
-    let est_sparse_bytes =
-        est_sparse_cells.saturating_mul(bytes_per_sparse_cell(counts.len()));
     SparsePrediction {
         dense_cells,
-        dense_bytes,
         est_sparse_cells,
-        est_sparse_bytes,
-        est_machines,
     }
 }
 
@@ -133,10 +108,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn dense_costs_follow_the_store_codec() {
+    fn dense_cells_are_the_box_size() {
         let p = predict(&[2, 2], &[4, 6], 10);
         assert_eq!(p.dense_cells, 9);
-        assert_eq!(p.dense_bytes, pcmax_store::page_bytes(9));
     }
 
     #[test]
@@ -147,7 +121,6 @@ mod tests {
         assert_eq!(p.choose(u64::MAX, false), Some(PlannedRepr::Dense));
         let big = predict(&[9; 8], &[31, 33, 35, 37, 41, 43, 45, 47], 96);
         assert!(big.est_sparse_cells < big.dense_cells);
-        assert!(big.est_machines >= 1);
     }
 
     #[test]

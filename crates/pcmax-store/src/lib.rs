@@ -36,10 +36,7 @@
 //!
 //! Observability: each store owns its counters. [`TieredStore::stats`]
 //! reports faults, demotions, prefetches and write-behind writes, and
-//! [`TieredStore::fault_latency`] / [`TieredStore::prefetch_latency`]
-//! hold the compute-path fault and off-path prefetch latencies (sampled
-//! while [`pcmax_obs`] recording is enabled). [`WarmLog`] counts its own
-//! rehydrated entries and compactions. Nothing is copied into a
+//! [`WarmLog`] counts its own rehydrated entries and compactions. Nothing is copied into a
 //! process-global registry, so two stores in one process never mix.
 
 pub mod page;

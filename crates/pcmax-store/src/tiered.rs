@@ -3,7 +3,6 @@
 use crate::page::Page;
 use crate::tier::{DiskTier, PageStore, RamTier};
 use crate::{StoreConfig, StoreError};
-use pcmax_obs::Histogram;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -55,8 +54,6 @@ pub struct TieredStore {
     prefetch_issued: AtomicU64,
     prefetch_hits: AtomicU64,
     writebehind_writes: AtomicU64,
-    fault_us: Histogram,
-    prefetch_us: Histogram,
 }
 
 /// Capacity of the prefetch staging ring, in pages. Mirrors the
@@ -150,8 +147,6 @@ impl TieredStore {
             prefetch_issued: AtomicU64::new(0),
             prefetch_hits: AtomicU64::new(0),
             writebehind_writes: AtomicU64::new(0),
-            fault_us: Histogram::new(),
-            prefetch_us: Histogram::new(),
         })
     }
 
@@ -210,7 +205,6 @@ impl TieredStore {
             self.install(&mut inner, id, Arc::clone(&page))?;
             return Ok(Some(page));
         }
-        let timer = pcmax_obs::Timer::start();
         let faulted = match &mut inner.disk {
             Some(disk) => disk.get(id)?,
             None => None,
@@ -220,9 +214,6 @@ impl TieredStore {
             return Ok(None);
         };
         self.faults.fetch_add(1, Ordering::Relaxed);
-        if timer.is_recording() {
-            self.fault_us.record(timer.elapsed_us());
-        }
         // Promote. The caller's Arc survives even if the budget demotes
         // this very page straight back out.
         self.install(&mut inner, id, Arc::clone(&page))?;
@@ -257,12 +248,8 @@ impl TieredStore {
             }
             disk.entry_path(id)
         };
-        let timer = pcmax_obs::Timer::start();
         let bytes = std::fs::read(&path).map_err(|e| StoreError::io(&path, e))?;
         let page = Arc::new(crate::page::decode_page_packed(&bytes)?);
-        if timer.is_recording() {
-            self.prefetch_us.record(timer.elapsed_us());
-        }
         self.prefetch_issued.fetch_add(1, Ordering::Relaxed);
         let mut inner = self.inner.lock().expect("store lock");
         // Re-check under the lock: a compute fault may have promoted
@@ -406,20 +393,6 @@ impl TieredStore {
             writebehind_writes: self.writebehind_writes.load(Ordering::Relaxed),
             staged_pages: inner.staged.len(),
         }
-    }
-
-    /// Snapshot of this store's page-fault latency histogram (samples
-    /// only accrue while `pcmax_obs` recording is enabled). Faults are
-    /// compute-path stalls; prefetch reads land in
-    /// [`Self::prefetch_latency`] instead.
-    pub fn fault_latency(&self) -> pcmax_obs::HistogramSnapshot {
-        self.fault_us.snapshot()
-    }
-
-    /// Snapshot of this store's prefetch-read latency histogram — disk
-    /// time paid off the compute path by the overlapped sweep.
-    pub fn prefetch_latency(&self) -> pcmax_obs::HistogramSnapshot {
-        self.prefetch_us.snapshot()
     }
 }
 

@@ -263,6 +263,30 @@ fn bad_inputs_fail_cleanly() {
         .output()
         .expect("run");
     assert!(!out.status.success());
+
+    // Unknown flags fail instead of running at a default: a misspelt
+    // flag, and flags of removed knobs on the commands that would
+    // otherwise bind a port and serve forever.
+    let eps_typo = [&inst.to_string_lossy(), "--epsilonn", "0.01"];
+    let cases: [(&str, &[&str], &str); 4] = [
+        ("solve", &eps_typo, "--epsilonn"),
+        ("serve", &["--warmsync", "off"], "--warmsync"),
+        ("cluster", &["--warmsync", "off"], "--warmsync"),
+        ("audit", &["--bogus", "3"], "--bogus"),
+    ];
+    for (cmd, flags, bad) in cases {
+        let out = output_within(pcmax().arg(cmd).args(flags), 60);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "`{cmd} {flags:?}` must fail");
+        assert!(stderr.contains(&format!("error: unknown flag {bad}")), "{stderr}");
+    }
+
+    // The removed benchmark commands are unknown.
+    for cmd in ["bench-cluster", "bench-sparse", "store-stats"] {
+        let out = output_within(pcmax().arg(cmd), 60);
+        assert!(!out.status.success(), "`{cmd}` must fail");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command"));
+    }
 }
 
 #[test]

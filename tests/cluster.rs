@@ -343,6 +343,73 @@ fn kill_and_join_replacement_serves_warm_keys_from_shipped_state() {
 
     drop(cluster);
     let _ = std::fs::remove_dir_all(&dir);
+
+    churn_at_the_default_replication_factor();
+}
+
+/// The same churn at the default R = 2, where the joiner co-owns only
+/// part of the warm set: warm four instances, settle replication, kill
+/// a worker, join a replacement, run one sync round, and probe the
+/// joiner with all four. Shipped state must spare it DP work that a
+/// fresh store-less service has to do.
+fn churn_at_the_default_replication_factor() {
+    let dir = std::env::temp_dir().join(format!("pcmax-warmsync-churn-r2-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let serve_config = ServeConfig {
+        store_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    };
+    let cluster =
+        LocalCluster::start(3, serve_config, fast_cluster_config()).expect("start cluster");
+    let coordinator = cluster.coordinator();
+    assert_eq!(coordinator.config().replication_factor, 2);
+    // The dp-dense shape: the descended net does not settle these, so
+    // each solve runs a DP.
+    let insts: Vec<Instance> = (0..4).map(|seed| uniform(seed, 36, 12, 30, 100)).collect();
+    for inst in &insts {
+        coordinator.solve(request(inst)).expect("warm solve");
+    }
+    // Kill on a steady-state fleet, not mid-ship.
+    wait_for_fresh_warm_seqs(&cluster);
+    coordinator.sync_warm();
+
+    cluster.kill(0);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while coordinator.live_workers().len() != 2 {
+        assert!(Instant::now() < deadline, "heartbeat never marked worker-0 down");
+        std::thread::sleep(Duration::from_millis(25));
+    }
+    let joined = cluster.spawn().expect("join replacement");
+    coordinator.sync_warm();
+
+    let joined_idx = cluster.index_of(&joined).expect("known worker");
+    let mut direct = Client::connect(cluster.addr(joined_idx)).expect("connect to joiner");
+    let fresh = pcmax::Service::start(ServeConfig::default());
+    let (mut joiner_misses, mut fresh_misses) = (0, 0);
+    for inst in &insts {
+        let reply = direct
+            .solve(inst, Some(0.3), Some(Duration::from_secs(10)))
+            .expect("solve on the joiner");
+        joiner_misses += reply.cache_misses;
+        fresh_misses += fresh
+            .solve_blocking(request(inst))
+            .expect("solve on a fresh service")
+            .stats
+            .cache_misses;
+    }
+    assert!(
+        joiner_misses < fresh_misses,
+        "the joiner recomputed {joiner_misses} probes, a fresh service {fresh_misses}"
+    );
+    let joined_service = cluster.service(joined_idx).expect("joiner alive");
+    assert!(
+        joined_service.warm().expect("store-backed").cold_misses_avoided() > 0,
+        "the joiner never answered a probe from shipped warm state"
+    );
+
+    fresh.shutdown();
+    drop(cluster);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Blocks until the coordinator's heartbeat-reported `warm_seq` of

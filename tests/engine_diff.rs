@@ -11,7 +11,8 @@
 //! brute-force oracle.
 
 use pcmax::core::exact::min_bins;
-use pcmax::core::{bounds, gen::uniform};
+use pcmax::core::bounds;
+use pcmax::core::gen::{near_equal, uniform};
 use pcmax::ptas::rounding::{Rounding, RoundingOutcome};
 use pcmax::ptas::search::interval;
 use pcmax::{DpEngine, DpProblem, Instance};
@@ -156,6 +157,28 @@ fn rounded_instances_agree_across_engines_and_match_min_bins() {
             let sol = assert_engines_agree(&p);
             assert_matches_oracle(&p, &sol);
         }
+    }
+    // The sparse frontier's regime: near-equal jobs, many per machine,
+    // rounded at the bisection midpoint. Too large for the oracle, but
+    // every engine must still agree, and the frontier must keep a small
+    // share of the dense cells resident at its peak.
+    for (jobs, machines, k, max_resident_pct) in [(576, 48, 16, 10), (24, 4, 8, 60)] {
+        let inst = near_equal(42, jobs, machines, 1000, 40);
+        let lb = bounds::lower_bound(&inst);
+        let ub = bounds::upper_bound(&inst);
+        let RoundingOutcome::Rounded(r) =
+            Rounding::compute(&inst, interval::bisection_target(lb, ub), k)
+        else {
+            panic!("the midpoint of [{lb}, {ub}] must round");
+        };
+        let p = DpProblem::from_rounding(&r);
+        assert_engines_agree(&p);
+        let peak = p.solve_sparse().stats.peak_resident_cells;
+        assert!(
+            peak * 100 < max_resident_pct * p.table_size(),
+            "{jobs} jobs on {machines} machines at k = {k}: peak {peak} of {} dense cells",
+            p.table_size()
+        );
     }
 }
 
