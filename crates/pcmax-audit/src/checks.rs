@@ -826,7 +826,6 @@ pub fn check_portfolio(inst: &Instance, ctx: &mut CheckCtx<'_>) {
         (PortfolioPolicy::Auto, ReprPolicy::Auto),
         (PortfolioPolicy::Fixed(Arm::LptRev), ReprPolicy::Auto),
         (PortfolioPolicy::Fixed(Arm::Multifit), ReprPolicy::Auto),
-        (PortfolioPolicy::Fixed(Arm::Exact), ReprPolicy::Auto),
         (PortfolioPolicy::Fixed(Arm::Ptas), ReprPolicy::Auto),
         (PortfolioPolicy::Fixed(Arm::Ptas), ReprPolicy::DenseOnly),
         (PortfolioPolicy::Fixed(Arm::Ptas), ReprPolicy::SparseOnly),

@@ -192,8 +192,8 @@ mod tests {
             ..AuditConfig::default()
         });
         assert!(filtered.checks > 0);
-        // 7 policies per case, nothing else.
-        assert_eq!(filtered.checks, filtered.cases * 7);
+        // 6 policies per case, nothing else.
+        assert_eq!(filtered.checks, filtered.cases * 6);
         assert!(filtered.is_clean(), "divergences: {:#?}", filtered.divergences);
     }
 

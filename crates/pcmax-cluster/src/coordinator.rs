@@ -381,7 +381,6 @@ impl Coordinator {
                     engine: reply.engine,
                     guarantee: reply.guarantee,
                     gap_ppm: reply.gap_ppm,
-                    improve_us: 0,
                 },
             },
             worker: Some(worker.id.clone()),
@@ -426,7 +425,6 @@ impl Coordinator {
                         makespan,
                         pcmax_core::lower_bound(inst),
                     ),
-                    improve_us: 0,
                 },
             },
             worker: None,

@@ -25,7 +25,7 @@ pub struct Guarantee {
 }
 
 impl Guarantee {
-    /// The exact arm: `makespan = OPT`.
+    /// An exact answer: `makespan = OPT`.
     pub const EXACT: Guarantee = Guarantee {
         num: 1,
         den: 1,

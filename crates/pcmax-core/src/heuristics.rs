@@ -52,8 +52,9 @@ pub fn lpt(inst: &Instance) -> Schedule {
 }
 
 /// Instances this small are handed to the exact branch-and-bound outright
-/// — the search is cheaper than reasoning about a split.
-const LPT_REV_EXACT_MAX_JOBS: usize = 10;
+/// — the search is cheaper than reasoning about a split — so
+/// [`lpt_revisited`] answers them optimally with [`Guarantee::EXACT`].
+pub const LPT_REV_EXACT_MAX_JOBS: usize = 10;
 /// Longest tail the split solves exactly (the subproblem is exponential
 /// in the tail length).
 const LPT_REV_TAIL_MAX: usize = 10;

@@ -6,9 +6,9 @@
 //! * **Admission control** — a bounded queue rejects work at the door
 //!   ([`ServeError::Overloaded`]) instead of letting latency collapse.
 //! * **Solver portfolio** — each request runs one arm of [`portfolio`],
-//!   picked from cheap instance features: exact branch-and-bound for
-//!   tiny instances, the cached PTAS when its predicted cost fits the
-//!   deadline, else the heuristic safety net.
+//!   picked from cheap instance features: LPT-revisited (exact on tiny
+//!   and equal-time instances), the cached PTAS when its predicted cost
+//!   fits the deadline, else the heuristic safety net.
 //! * **Deadline degradation** — a request that cannot finish inside its
 //!   deadline still gets a *valid* schedule, produced by the better of
 //!   LPT-revisited and MULTIFIT, flagged [`SolveResponse::degraded`].
@@ -52,12 +52,8 @@ pub use solver::{
     ReprCounts, ReprPolicy, SolveOutcome, SolverOptions,
 };
 pub use stats::{
-    ArmReport, CacheReport, EngineUsed, HealthReply, ImproveReport, PortfolioReport, ReprReport,
-    RequestStats, ServeHistograms, ServeMetrics, ServiceReport, StoreReport,
+    ArmReport, CacheReport, EngineUsed, HealthReply, PortfolioReport, ReprReport, RequestStats,
+    ServeHistograms, ServeMetrics, ServiceReport, StoreReport,
 };
-
-// The improver's knobs surface in [`ServeConfig`]; re-export them so
-// serve consumers (cluster, CLI) need not depend on pcmax-improve.
-pub use pcmax_improve::{ImproveConfig, ImproveMode, ImproveOutcome, ImproveStats};
 pub use tcp::{serve_lines, serve_tcp, TcpHandle};
 pub use warm::WarmTier;

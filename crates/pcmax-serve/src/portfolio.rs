@@ -1,13 +1,13 @@
 //! Instance-adaptive solver portfolio (ISSUE 7 tentpole).
 //!
 //! Replaces the hardcoded `cache → DP → heuristic` ladder with a
-//! feature-driven selection over four *arms*:
+//! feature-driven selection over three *arms*:
 //!
 //! | arm        | algorithm                         | guarantee reported        |
 //! |------------|-----------------------------------|---------------------------|
-//! | `lptrev`   | LPT-revisited (split-and-solve)   | critical-index refinement |
+//! | `lptrev`   | LPT-revisited (split-and-solve;   | critical-index refinement |
+//! |            | branch-and-bound for `n ≤ 10`)    | (1/1 for `n ≤ 10`)        |
 //! | `multifit` | MULTIFIT, 10 FFD iterations       | 13/11 + interval residue  |
-//! | `exact`    | branch-and-bound (tiny `n` only)  | 1/1                       |
 //! | `ptas`     | descended net, then cache-backed  | `1 + 1/k + 1/k²` + 2, or  |
 //! |            | PTAS on `[LB, min(UB, U)]`; reply | `ms/T*` when tighter      |
 //! |            | floored by the net                | (`T*` certifies `≤ OPT`)  |
@@ -20,8 +20,8 @@
 //! under [`crate::solver::ReprPolicy`].
 //!
 //! A cheap [`InstanceFeatures`] probe (no DP cells allocated) feeds a
-//! deadline-aware policy: tiny instances go exact, uniform instances go
-//! LPT (provably optimal there), affordable DPs run, and hopeless
+//! deadline-aware policy: tiny and equal-time instances go to
+//! LPT-revisited (optimal on both), affordable DPs run, and hopeless
 //! budgets go straight to the heuristic safety net. A picked arm that
 //! fails (deadline, admission) is answered by that net instead, flagged
 //! `degraded`. Every answer carries the [`Guarantee`] of the arm that
@@ -32,8 +32,7 @@ use crate::solver::{
 };
 use crate::stats::{ArmReport, EngineUsed, PortfolioReport};
 use crate::warm::WarmTier;
-use pcmax_core::exact::brute_force_schedule;
-use pcmax_core::heuristics::{lpt_revisited, multifit_with_guarantee};
+use pcmax_core::heuristics::{lpt_revisited, multifit_with_guarantee, LPT_REV_EXACT_MAX_JOBS};
 use pcmax_core::{bounds, Guarantee, Instance, Schedule};
 use pcmax_improve::descent::descend;
 use pcmax_improve::{ImproveConfig, ImproveStats};
@@ -46,13 +45,6 @@ use std::time::{Duration, Instant};
 /// FFD binary-search depth of the MULTIFIT arm (matches the pre-portfolio
 /// fallback).
 pub const MULTIFIT_ITERS: usize = 10;
-/// Auto policy routes instances this small to the exact arm.
-const EXACT_SELECT_MAX_JOBS: usize = 10;
-/// Hard ceiling of the exact arm even under `fixed:exact` — above this
-/// the branch-and-bound is not reliably cheap and the arm declines.
-const EXACT_HARD_MAX_JOBS: usize = 12;
-/// Minimum remaining budget (µs) before Auto is willing to run exact.
-const EXACT_MIN_BUDGET_US: u64 = 2_000;
 /// Below this remaining budget (µs) the safety net runs only *one*
 /// heuristic, picked by the time CV, instead of both.
 const TIGHT_BUDGET_US: u64 = 200;
@@ -64,26 +56,24 @@ const CV_SPLIT_PCT: u64 = 40;
 /// One solver arm of the portfolio.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Arm {
-    /// LPT-revisited split-and-solve heuristic.
+    /// LPT-revisited split-and-solve heuristic (exact branch-and-bound
+    /// on tiny instances).
     LptRev,
     /// MULTIFIT heuristic.
     Multifit,
-    /// Exact branch-and-bound (tiny instances).
-    Exact,
     /// Cache-backed PTAS under the service's representation policy.
     Ptas,
 }
 
 impl Arm {
     /// All arms, in canonical report order.
-    pub const ALL: [Arm; 4] = [Arm::LptRev, Arm::Multifit, Arm::Exact, Arm::Ptas];
+    pub const ALL: [Arm; 3] = [Arm::LptRev, Arm::Multifit, Arm::Ptas];
 
     /// Wire/CLI name.
     pub fn name(self) -> &'static str {
         match self {
             Arm::LptRev => "lptrev",
             Arm::Multifit => "multifit",
-            Arm::Exact => "exact",
             Arm::Ptas => "ptas",
         }
     }
@@ -93,8 +83,7 @@ impl Arm {
         match self {
             Arm::LptRev => 0,
             Arm::Multifit => 1,
-            Arm::Exact => 2,
-            Arm::Ptas => 3,
+            Arm::Ptas => 2,
         }
     }
 
@@ -103,7 +92,6 @@ impl Arm {
         match self {
             Arm::LptRev => EngineUsed::LptRev,
             Arm::Multifit => EngineUsed::Multifit,
-            Arm::Exact => EngineUsed::Exact,
             Arm::Ptas => EngineUsed::Ptas,
         }
     }
@@ -121,7 +109,7 @@ impl FromStr for Arm {
         Arm::ALL
             .into_iter()
             .find(|arm| arm.name() == s)
-            .ok_or_else(|| format!("unknown arm `{s}` (expected lptrev|multifit|exact|ptas)"))
+            .ok_or_else(|| format!("unknown arm `{s}` (expected lptrev|multifit|ptas)"))
     }
 }
 
@@ -166,10 +154,10 @@ impl FromStr for PortfolioPolicy {
 /// `won` / `runs` counters are unconditional.
 #[derive(Debug, Default)]
 pub struct PortfolioCounters {
-    chosen: [AtomicU64; 4],
-    won: [AtomicU64; 4],
-    runs: [AtomicU64; 4],
-    arm_us: [Histogram; 4],
+    chosen: [AtomicU64; 3],
+    won: [AtomicU64; 3],
+    runs: [AtomicU64; 3],
+    arm_us: [Histogram; 3],
 }
 
 impl PortfolioCounters {
@@ -264,11 +252,11 @@ impl PortfolioOutcome {
 
 /// What the Auto policy decided for one request.
 enum Selection {
-    /// Tiny instance: branch-and-bound, guarantee 1/1.
-    Exact,
-    /// All times equal: LPT balances perfectly and is provably optimal —
-    /// no DP needed, answer is *not* degraded.
-    Uniform,
+    /// At most [`LPT_REV_EXACT_MAX_JOBS`] jobs, which LPT-revisited
+    /// solves by branch-and-bound, or all times equal, where LPT's
+    /// `⌈n/m⌉·t` load is the pigeonhole optimum: LPT-revisited answers,
+    /// certified exact — no DP needed, answer is *not* degraded.
+    Optimal,
     /// The DP is affordable: run the PTAS arm.
     Dp,
     /// No affordable DP (budget or admission): heuristic net only.
@@ -276,11 +264,8 @@ enum Selection {
 }
 
 fn select(f: &InstanceFeatures, budget_us: Option<u64>) -> Selection {
-    if f.n <= EXACT_SELECT_MAX_JOBS && budget_us.is_none_or(|b| b >= EXACT_MIN_BUDGET_US) {
-        return Selection::Exact;
-    }
-    if f.min_time == f.max_time {
-        return Selection::Uniform;
+    if f.n <= LPT_REV_EXACT_MAX_JOBS || f.min_time == f.max_time {
+        return Selection::Optimal;
     }
     if f.planned.is_none() {
         return Selection::HeuristicOnly;
@@ -290,26 +275,6 @@ fn select(f: &InstanceFeatures, budget_us: Option<u64>) -> Selection {
         Some(b) if b > 0 && f.est_dp_us <= b.saturating_mul(2) => Selection::Dp,
         Some(_) => Selection::HeuristicOnly,
     }
-}
-
-/// Runs the exact arm, which declines (the caller degrades) above
-/// [`EXACT_HARD_MAX_JOBS`] or past the deadline.
-fn run_exact(inst: &Instance, deadline: Option<Instant>) -> Result<PortfolioOutcome, Degrade> {
-    if inst.num_jobs() > EXACT_HARD_MAX_JOBS {
-        // The arm declines rather than blowing the latency budget on an
-        // exponential search.
-        return Err(Degrade::TableTooLarge { cells: usize::MAX });
-    }
-    if deadline.is_some_and(|d| Instant::now() >= d) {
-        return Err(Degrade::DeadlineExceeded);
-    }
-    let schedule = brute_force_schedule(inst);
-    Ok(PortfolioOutcome::heuristic(
-        inst,
-        schedule,
-        Arm::Exact,
-        Guarantee::EXACT,
-    ))
 }
 
 /// Runs the PTAS arm on top of the already computed descended `net`:
@@ -460,9 +425,6 @@ pub fn solve_portfolio(
         counters.note_chosen(arm);
         let answer = match arm {
             Arm::LptRev | Arm::Multifit => counters.time_run(arm, || run_heuristic(arm, inst)),
-            Arm::Exact => counters
-                .time_run(arm, || run_exact(inst, deadline))
-                .unwrap_or_else(|_| degraded(heuristic_net(inst, budget_us, counters))),
             Arm::Ptas => {
                 // The descended net runs first, inside the arm: it bounds
                 // the search, floors the reply and, if the arm fails,
@@ -482,12 +444,9 @@ pub fn solve_portfolio(
     let arm = match policy {
         PortfolioPolicy::Fixed(arm) => arm,
         PortfolioPolicy::Auto => match select(&probe_features(inst, k, opts), budget_us) {
-            Selection::Exact => Arm::Exact,
             Selection::Dp => Arm::Ptas,
-            Selection::Uniform => {
+            Selection::Optimal => {
                 let mut ans = run_or_net(Arm::LptRev);
-                // All times equal: LPT's ⌈n/m⌉·t load is the
-                // pigeonhole optimum, so the certificate is exact.
                 ans.guarantee = Guarantee::EXACT;
                 return ans;
             }
@@ -508,6 +467,7 @@ pub fn solve_portfolio(
 mod tests {
     use super::*;
     use pcmax_core::gen::uniform;
+    use pcmax_improve::ImproveMode;
     use pcmax_ptas::DpEngine;
     use std::time::Duration;
 
@@ -536,29 +496,28 @@ mod tests {
     }
 
     #[test]
-    fn auto_picks_exact_for_tiny_instances() {
-        let (cache, counters) = fresh();
-        let inst = uniform(1, 8, 3, 1, 30);
-        let out = solve_portfolio(
-            &inst,
-            4,
-            &seq(),
-            &cache,
-            None,
-            None,
-            PortfolioPolicy::Auto,
-            &counters,
-        );
-        assert_eq!(out.arm, Arm::Exact);
-        assert_eq!(out.engine, EngineUsed::Exact);
-        assert_eq!(out.guarantee, Guarantee::EXACT);
-        assert!(!out.degraded);
-        assert_eq!(
-            out.makespan,
-            pcmax_core::exact::brute_force_makespan(&inst)
-        );
-        let report = counters.report();
-        assert_eq!(report.arms[Arm::Exact.idx()].won, 1);
+    fn auto_answers_tiny_and_equal_time_instances_exactly_with_lpt_revisited() {
+        // 8 jobs: LPT-revisited's branch-and-bound; 11 equal jobs: the
+        // pigeonhole optimum ⌈11/4⌉·7 = 21.
+        for inst in [uniform(1, 8, 3, 1, 30), Instance::new(vec![7; 11], 4)] {
+            let (cache, counters) = fresh();
+            let out = solve_portfolio(
+                &inst,
+                4,
+                &seq(),
+                &cache,
+                None,
+                None,
+                PortfolioPolicy::Auto,
+                &counters,
+            );
+            assert_eq!(out.arm, Arm::LptRev);
+            assert_eq!(out.engine, EngineUsed::LptRev);
+            assert_eq!(out.guarantee, Guarantee::EXACT);
+            assert!(!out.degraded);
+            assert_eq!(out.makespan, pcmax_core::exact::brute_force_makespan(&inst));
+            assert_eq!(counters.report().arms[Arm::LptRev.idx()].won, 1);
+        }
     }
 
     #[test]
@@ -618,27 +577,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_uniform_times_short_circuit_to_lpt() {
-        let (cache, counters) = fresh();
-        let inst = Instance::new(vec![7; 30], 4);
-        let out = solve_portfolio(
-            &inst,
-            4,
-            &seq(),
-            &cache,
-            None,
-            None,
-            PortfolioPolicy::Auto,
-            &counters,
-        );
-        assert_eq!(out.arm, Arm::LptRev);
-        assert_eq!(out.guarantee, Guarantee::EXACT);
-        assert!(!out.degraded);
-        // ⌈30/4⌉·7: the pigeonhole optimum.
-        assert_eq!(out.makespan, 8 * 7);
-    }
-
-    #[test]
     fn expired_deadline_degrades_to_a_single_heuristic() {
         let (cache, counters) = fresh();
         let inst = uniform(3, 40, 4, 1, 80);
@@ -686,27 +624,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fixed_exact_declines_large_instances_and_degrades() {
-        let (cache, counters) = fresh();
-        let inst = uniform(5, 40, 4, 1, 80);
-        let out = solve_portfolio(
-            &inst,
-            4,
-            &seq(),
-            &cache,
-            None,
-            None,
-            PortfolioPolicy::Fixed(Arm::Exact),
-            &counters,
-        );
-        assert!(out.degraded);
-        assert!(matches!(out.arm, Arm::LptRev | Arm::Multifit));
-        let report = counters.report();
-        assert_eq!(report.arms[Arm::Exact.idx()].chosen, 1);
-        assert_eq!(report.arms[Arm::Exact.idx()].won, 0);
-    }
-
     fn ptas_arm(
         inst: &Instance,
         opts: &SolverOptions,
@@ -751,6 +668,15 @@ mod tests {
             let target = out.target.unwrap();
             assert!(target <= out.makespan);
             assert!(out.guarantee.holds(out.makespan, target));
+            // The net's descent already ran, so a further greedy pass
+            // finds no strictly better schedule.
+            let cfg = ImproveConfig {
+                mode: ImproveMode::Greedy,
+                budget: Duration::from_secs(1),
+                ..ImproveConfig::default()
+            };
+            let polished = pcmax_improve::improve(&inst, &out.schedule, &cfg).unwrap();
+            assert_eq!(polished.makespan, out.makespan, "the improver lowered a reply");
         }
     }
 

@@ -527,7 +527,6 @@ mod tests {
                     slack: 2,
                 },
                 gap_ppm: 125_000,
-                improve_us: 7,
             },
             schedule,
         };
@@ -568,7 +567,6 @@ mod tests {
                 engine: EngineUsed::LptRev,
                 guarantee: Guarantee::lpt(1),
                 gap_ppm: 0,
-                improve_us: 0,
             },
             schedule: Schedule::new(vec![0], 1),
         };
@@ -605,7 +603,6 @@ mod tests {
                 engine: EngineUsed::Ptas,
                 guarantee: Guarantee::EXACT,
                 gap_ppm: Guarantee::gap_ppm(42, 0),
-                improve_us: 0,
             },
             schedule: Schedule::new(vec![0], 1),
         };

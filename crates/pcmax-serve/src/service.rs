@@ -7,7 +7,7 @@
 //! unbounded). A worker drains a batch, groups it by the rounding
 //! parameter `k` so consecutive solves share cache keys, and answers each
 //! request through the [`crate::portfolio`] — a feature-driven pick of
-//! one exact / PTAS / heuristic arm. A request whose deadline expires
+//! one PTAS / heuristic arm. A request whose deadline expires
 //! (or whose DP table would blow the cell budget) is *not* an error: it
 //! degrades to the heuristic safety net and the response says so,
 //! carrying the [`pcmax_core::Guarantee`] of the arm that actually
@@ -16,12 +16,10 @@
 use crate::portfolio::{heuristic_net, solve_portfolio, PortfolioCounters, PortfolioPolicy};
 use crate::solver::{DpCache, ReprPolicy, SolverOptions};
 use crate::stats::{
-    EngineUsed, HealthReply, ImproveReport, ReprReport, RequestStats, ServeMetrics, ServiceReport,
-    StoreReport,
+    EngineUsed, HealthReply, ReprReport, RequestStats, ServeMetrics, ServiceReport, StoreReport,
 };
 use crate::warm::WarmTier;
 use pcmax_core::{Guarantee, Instance, Schedule};
-use pcmax_improve::{ImproveConfig, ImproveMode};
 use pcmax_ptas::DpEngine;
 use pcmax_store::StoreBudget;
 use pcmax_warmsync::{ReplicaBudget, ShipEntry, WarmDigest};
@@ -75,15 +73,6 @@ pub struct ServeConfig {
     /// How the per-request solver arm is picked: feature-driven
     /// [`PortfolioPolicy::Auto`] (the default) or one pinned arm.
     pub portfolio: PortfolioPolicy,
-    /// Anytime improver applied after the solve: off (default) or greedy
-    /// move/swap descent. The improver spends
-    /// the *remaining* request deadline (capped by `improve_budget`)
-    /// and never returns a worse schedule than the arm's answer.
-    pub improve: ImproveMode,
-    /// Per-request ceiling on improver wall clock. The effective budget
-    /// is `min(improve_budget, deadline − now)` at the moment the solve
-    /// finishes — a request with no deadline headroom skips improvement.
-    pub improve_budget: Duration,
     /// Byte budget for warm entries this worker stores *on behalf of
     /// the ring* (warmsync replication). Oldest replicas are evicted
     /// first once exceeded. Entries this worker computed itself are
@@ -108,8 +97,6 @@ impl Default for ServeConfig {
             pages_budget: StoreBudget::default(),
             io_timeout: Some(Duration::from_secs(30)),
             portfolio: PortfolioPolicy::Auto,
-            improve: ImproveMode::Off,
-            improve_budget: Duration::from_millis(2),
             replica_budget: StoreBudget::bytes(16 << 20),
         }
     }
@@ -277,8 +264,6 @@ struct Counters {
     prefetch_issued: AtomicU64,
     prefetch_hits: AtomicU64,
     writebehind_writes: AtomicU64,
-    improve_runs: AtomicU64,
-    improve_wins: AtomicU64,
 }
 
 /// Everything a worker thread needs. Workers deliberately do NOT hold
@@ -296,8 +281,6 @@ struct WorkerCtx {
     solver: SolverOptions,
     portfolio: PortfolioPolicy,
     batch_max: usize,
-    improve: ImproveMode,
-    improve_budget: Duration,
 }
 
 /// The solver service. Create with [`Service::start`]; share via `Arc`.
@@ -360,8 +343,6 @@ impl Service {
             solver,
             portfolio: config.portfolio,
             batch_max: config.batch_max,
-            improve: config.improve,
-            improve_budget: config.improve_budget,
         };
         let handles: Vec<JoinHandle<()>> = (0..config.workers)
             .map(|i| {
@@ -440,10 +421,6 @@ impl Service {
                 dense_probes: self.counters.repr_dense.load(Ordering::Relaxed),
                 sparse_probes: self.counters.repr_sparse.load(Ordering::Relaxed),
                 paged_probes: self.counters.repr_paged.load(Ordering::Relaxed),
-            },
-            improve: ImproveReport {
-                runs: self.counters.improve_runs.load(Ordering::Relaxed),
-                improved: self.counters.improve_wins.load(Ordering::Relaxed),
             },
             portfolio: self.arms.report(),
             cache: self.cache.report(),
@@ -652,46 +629,11 @@ impl WorkerCtx {
         }
         let solve_us = solve_started.elapsed().as_micros() as u64;
 
-        // Anytime improvement: spend whatever deadline budget the solve
-        // left over refining the arm's schedule. Boundary-checked both
-        // ways — the improver validates its input and recomputes its
-        // output makespan — and strictly monotone, so the reply is
-        // never worse than the arm's answer.
-        let lb = pcmax_core::lower_bound(&job.instance);
-        let mut schedule = out.schedule;
-        let mut makespan = out.makespan;
-        let mut guarantee = out.guarantee;
-        let mut improve_us = 0u64;
-        if self.improve != ImproveMode::Off {
-            let headroom = job.deadline.saturating_duration_since(Instant::now());
-            let budget = headroom.min(self.improve_budget);
-            if !budget.is_zero() {
-                let cfg = ImproveConfig {
-                    mode: self.improve,
-                    budget,
-                    ..ImproveConfig::default()
-                };
-                if let Ok(refined) = pcmax_improve::improve(&job.instance, &schedule, &cfg) {
-                    self.counters.improve_runs.fetch_add(1, Ordering::Relaxed);
-                    improve_us = refined.stats.budget_used_us;
-                    if refined.makespan < makespan {
-                        self.counters.improve_wins.fetch_add(1, Ordering::Relaxed);
-                        schedule = refined.schedule;
-                        makespan = refined.makespan;
-                    }
-                    // The improver ran, so the instance-specific ratio
-                    // against the lower bound is worth certifying — it
-                    // is sound for *this* schedule and often tighter
-                    // than the arm's worst-case theorem.
-                    guarantee = guarantee.tighter(Guarantee::a_posteriori(makespan, lb));
-                }
-            }
-        }
-        let gap_ppm = Guarantee::gap_ppm(makespan, lb);
+        let gap_ppm = Guarantee::gap_ppm(out.makespan, pcmax_core::lower_bound(&job.instance));
 
         let response = SolveResponse {
-            schedule,
-            makespan,
+            schedule: out.schedule,
+            makespan: out.makespan,
             target: out.target,
             machines_used: out.machines_used,
             degraded: out.degraded,
@@ -702,9 +644,8 @@ impl WorkerCtx {
                 cache_misses: out.cache_misses,
                 degraded: out.degraded,
                 engine: out.engine,
-                guarantee,
+                guarantee: out.guarantee,
                 gap_ppm,
-                improve_us,
             },
         };
         self.counters.completed.fetch_add(1, Ordering::Relaxed);
@@ -712,9 +653,6 @@ impl WorkerCtx {
             self.metrics.queue_wait_us.record(response.stats.queue_wait_us);
             self.metrics.solve_us.record(response.stats.solve_us);
             self.metrics.gap_ppm.record(gap_ppm);
-            if improve_us > 0 {
-                self.metrics.improve_us.record(improve_us);
-            }
             if response.degraded {
                 let lateness = Instant::now()
                     .saturating_duration_since(job.deadline)
@@ -978,33 +916,7 @@ mod tests {
     }
 
     #[test]
-    fn improver_runs_and_never_worsens() {
-        let base = ServeConfig {
-            workers: 1,
-            ..ServeConfig::default()
-        };
-        let off = Service::start(base.clone());
-        let plain = off.solve_blocking(request(9)).unwrap();
-        assert_eq!(plain.stats.improve_us, 0);
-        assert_eq!(off.report().improve.runs, 0);
-        off.shutdown();
-
-        let on = Service::start(ServeConfig {
-            improve: ImproveMode::Greedy,
-            improve_budget: Duration::from_millis(50),
-            ..base
-        });
-        let refined = on.solve_blocking(request(9)).unwrap();
-        let inst = uniform(9, 20, 3, 1, 40);
-        assert_eq!(refined.schedule.validate(&inst).unwrap(), refined.makespan);
-        assert!(refined.makespan <= plain.makespan, "improver must be monotone");
-        assert!(refined.stats.gap_ppm <= plain.stats.gap_ppm);
-        assert_eq!(on.report().improve.runs, 1);
-        on.shutdown();
-    }
-
-    #[test]
-    fn gap_ppm_reported_even_with_improver_off() {
+    fn gap_ppm_is_the_reply_makespan_against_the_lower_bound() {
         let service = Service::start(ServeConfig {
             workers: 1,
             ..ServeConfig::default()

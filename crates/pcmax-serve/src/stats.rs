@@ -16,13 +16,12 @@ use std::str::FromStr;
 pub enum EngineUsed {
     /// The full PTAS: rounded DP + target search.
     Ptas,
-    /// LPT-revisited: LPT prefix + exact critical tail (portfolio arm
-    /// and the degraded-mode fallback since the portfolio landed).
+    /// LPT-revisited: LPT prefix + exact critical tail, or exact
+    /// branch-and-bound on tiny instances (portfolio arm and the
+    /// degraded-mode fallback since the portfolio landed).
     LptRev,
     /// MULTIFIT fallback (deadline/size degradation).
     Multifit,
-    /// Exact branch-and-bound (portfolio arm for tiny instances).
-    Exact,
 }
 
 impl fmt::Display for EngineUsed {
@@ -31,7 +30,6 @@ impl fmt::Display for EngineUsed {
             EngineUsed::Ptas => "ptas",
             EngineUsed::LptRev => "lptrev",
             EngineUsed::Multifit => "multifit",
-            EngineUsed::Exact => "exact",
         })
     }
 }
@@ -43,7 +41,6 @@ impl FromStr for EngineUsed {
             "ptas" => Ok(EngineUsed::Ptas),
             "lptrev" => Ok(EngineUsed::LptRev),
             "multifit" => Ok(EngineUsed::Multifit),
-            "exact" => Ok(EngineUsed::Exact),
             other => Err(format!("unknown engine `{other}`")),
         }
     }
@@ -71,12 +68,8 @@ pub struct RequestStats {
     /// A-posteriori achieved-vs-bound gap in parts per million:
     /// `(makespan − LB)·10⁶ / LB` against the area/max lower bound
     /// ([`Guarantee::gap_ppm`]). 0 means the answer provably meets the
-    /// lower bound; the improver's job is driving this down with
-    /// whatever deadline budget the solve left over.
+    /// lower bound.
     pub gap_ppm: u64,
-    /// Wall-clock the anytime improver spent on this request, µs
-    /// (0 when the improver is off or the deadline was exhausted).
-    pub improve_us: u64,
 }
 
 /// Liveness snapshot answered by the protocol's `health` verb. The
@@ -224,7 +217,7 @@ impl StoreReport {
 /// One portfolio arm's lifetime counters inside a [`PortfolioReport`].
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ArmReport {
-    /// Wire name of the arm (`lptrev`, `multifit`, `exact`, `ptas`).
+    /// Wire name of the arm (`lptrev`, `multifit`, `ptas`).
     pub arm: String,
     /// Requests for which the selector picked this arm up front (for
     /// heuristic safety-net answers the pick *is* the winning arm, so
@@ -268,17 +261,6 @@ impl PortfolioReport {
     }
 }
 
-/// Anytime-improver telemetry: how often the refinement pass ran after
-/// the solve, and how often it strictly tightened the answer. All-zero
-/// when the service runs with the improver off.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct ImproveReport {
-    /// Requests the improver ran on (budget left after the solve).
-    pub runs: u64,
-    /// Requests whose makespan the improver strictly lowered.
-    pub improved: u64,
-}
-
 /// Live latency/size histograms the service records into while
 /// `pcmax_obs` recording is enabled. One instance lives inside the
 /// service, shared by all workers.
@@ -295,9 +277,6 @@ pub struct ServeMetrics {
     pub degraded_lateness_us: Histogram,
     /// Per-request achieved-vs-lower-bound gap, in ppm.
     pub gap_ppm: Histogram,
-    /// Per-request anytime-improver wall clock, in µs (recorded only
-    /// when the improver ran).
-    pub improve_us: Histogram,
 }
 
 impl ServeMetrics {
@@ -309,7 +288,6 @@ impl ServeMetrics {
             batch_size: self.batch_size.snapshot(),
             degraded_lateness_us: self.degraded_lateness_us.snapshot(),
             gap_ppm: self.gap_ppm.snapshot(),
-            improve_us: self.improve_us.snapshot(),
         }
     }
 }
@@ -328,8 +306,6 @@ pub struct ServeHistograms {
     pub degraded_lateness_us: HistogramSnapshot,
     /// Per-request achieved-vs-lower-bound gap, in ppm.
     pub gap_ppm: HistogramSnapshot,
-    /// Per-request anytime-improver wall clock, in µs.
-    pub improve_us: HistogramSnapshot,
 }
 
 impl ServeHistograms {
@@ -345,8 +321,6 @@ impl ServeHistograms {
         self.degraded_lateness_us.write_json(w);
         w.key("gap_ppm");
         self.gap_ppm.write_json(w);
-        w.key("improve_us");
-        self.improve_us.write_json(w);
         w.end_object();
     }
 }
@@ -364,8 +338,6 @@ pub struct ServiceReport {
     pub rejected: u64,
     /// Representation selection counts for probes that ran a DP.
     pub repr: ReprReport,
-    /// Anytime-improver run/win counts.
-    pub improve: ImproveReport,
     /// Portfolio-selector per-arm telemetry.
     pub portfolio: PortfolioReport,
     /// DP cache state.
@@ -392,11 +364,6 @@ impl ServiceReport {
             .field_u64("dense_probes", self.repr.dense_probes)
             .field_u64("sparse_probes", self.repr.sparse_probes)
             .field_u64("paged_probes", self.repr.paged_probes)
-            .end_object()
-            .key("improve")
-            .begin_object()
-            .field_u64("runs", self.improve.runs)
-            .field_u64("improved", self.improve.improved)
             .end_object()
             .key("portfolio");
         self.portfolio.write_json(&mut w);
@@ -448,16 +415,12 @@ mod tests {
 
     #[test]
     fn engine_roundtrips_through_display() {
-        for e in [
-            EngineUsed::Ptas,
-            EngineUsed::LptRev,
-            EngineUsed::Multifit,
-            EngineUsed::Exact,
-        ] {
+        for e in [EngineUsed::Ptas, EngineUsed::LptRev, EngineUsed::Multifit] {
             assert_eq!(e.to_string().parse::<EngineUsed>().unwrap(), e);
         }
         assert!("gpu".parse::<EngineUsed>().is_err());
         assert!("lpt".parse::<EngineUsed>().is_err());
+        assert!("exact".parse::<EngineUsed>().is_err());
     }
 
     #[test]
@@ -475,10 +438,6 @@ mod tests {
                 dense_probes: 6,
                 sparse_probes: 2,
                 paged_probes: 1,
-            },
-            improve: ImproveReport {
-                runs: 3,
-                improved: 2,
             },
             portfolio: PortfolioReport {
                 arms: vec![ArmReport {
@@ -526,12 +485,7 @@ mod tests {
             json.contains("\"repr\":{\"dense_probes\":6,\"sparse_probes\":2,\"paged_probes\":1}"),
             "{json}"
         );
-        assert!(
-            json.contains("\"improve\":{\"runs\":3,\"improved\":2}"),
-            "{json}"
-        );
         assert!(json.contains("\"gap_ppm\":{\"count\":0"), "{json}");
-        assert!(json.contains("\"improve_us\":{\"count\":0"), "{json}");
         assert!(
             json.contains("\"lptrev\":{\"chosen\":3,\"won\":2,\"runs\":4"),
             "{json}"

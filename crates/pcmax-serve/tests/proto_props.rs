@@ -9,11 +9,10 @@ use pcmax_warmsync::{ShipEntry, WarmDigest};
 use proptest::prelude::*;
 use std::time::Duration;
 
-const ENGINES: [EngineUsed; 4] = [
+const ENGINES: [EngineUsed; 3] = [
     EngineUsed::Ptas,
     EngineUsed::LptRev,
     EngineUsed::Multifit,
-    EngineUsed::Exact,
 ];
 
 /// Solve requests: 1–6 machines, 1–30 jobs, any representable ε in
@@ -80,7 +79,6 @@ fn any_response() -> impl Strategy<Value = SolveResponse> {
                         slack,
                     },
                     gap_ppm,
-                    improve_us: 0,
                 },
                 schedule: Schedule::new(a.0, a.1),
             }

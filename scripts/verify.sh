@@ -7,9 +7,8 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 # The facade package's tests, including the loopback portfolio gate
-# (auto selector vs every pinned arm) and improver gate (improved vs
-# unimproved mean gap_ppm) in tests/serve.rs, and the cluster and sparse
-# gates:
+# (auto selector vs every pinned arm, every reply's gap_ppm checked) in
+# tests/serve.rs, and the cluster and sparse gates:
 # - failover under a mid-load kill: tests/cluster.rs
 #   killing_a_worker_mid_load_loses_no_requests;
 # - kill-and-join churn: tests/cluster.rs
@@ -109,7 +108,8 @@ test -s target/AUDIT_sparse.json
 # Portfolio gauntlet: the same 64 seeds filtered to the solver-portfolio
 # checks — auto and every arm pinned (the ptas arm also under forced
 # dense and sparse tables) on every adversarial case, with each answer's
-# guarantee certificate re-proved in u128.
+# guarantee certificate re-proved in u128 (against the brute-force
+# optimum for n ≤ 10).
 ./target/release/pcmax audit --seeds 64 --engine portfolio \
   --out target/AUDIT_portfolio.json
 test -s target/AUDIT_portfolio.json

@@ -17,10 +17,32 @@ use pcmax::prelude::*;
 use pcmax::serve::serve_tcp;
 use pcmax::{ClusterConfig, Guarantee};
 use std::fs;
+use std::io::{ErrorKind, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Writes to stdout through its lock. A reader that closes early
+/// (`pcmax solve FILE --verbose | head -2`) ends the process with exit
+/// code 0 instead of the panic `println!` raises on a broken pipe.
+fn emit(text: std::fmt::Arguments<'_>) {
+    let mut stdout = std::io::stdout().lock();
+    if let Err(e) = stdout.write_fmt(text).and_then(|()| stdout.flush()) {
+        if e.kind() == ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: writing stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// `println!` through [`emit`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -40,7 +62,7 @@ fn main() -> ExitCode {
         "cluster" => cmd_cluster(rest),
         "audit" => cmd_audit(rest),
         "help" | "--help" | "-h" => {
-            println!("{USAGE}");
+            outln!("{USAGE}");
             Ok(())
         }
         other => Err(format!("unknown command `{other}`\n{USAGE}")),
@@ -70,7 +92,6 @@ USAGE:
                       [--repr auto|dense|sparse] [--mem-budget BYTES] [--store-dir DIR]
                       [--max-cells N] [--pages-budget BYTES]
                       [--portfolio auto|fixed:ARM]
-                      [--improve off|greedy] [--improve-budget-us N]
   pcmax improve FILE|- [--improve off|greedy] [--improve-budget-us N]
   pcmax cluster       [--workers N] [--addr HOST:PORT] [--threads N]
                       [--queue N] [--deadline-ms N] [--epsilon F]
@@ -78,7 +99,6 @@ USAGE:
                       [--mem-budget BYTES] [--store-dir DIR]
                       [--max-cells N] [--pages-budget BYTES]
                       [--portfolio auto|fixed:ARM]
-                      [--improve off|greedy] [--improve-budget-us N]
                       [--heartbeat-ms N] [--max-missed N] [--retries N]
                       [--replicas N]
   pcmax audit         [--seeds N] [--k N] [--max-cells N]
@@ -111,20 +131,17 @@ dense differential. `--mem-budget` accepts `4096`, `64K`, `16M`, or `1G`;
 warm-start log (cluster workers get per-worker subdirectories).
 `--portfolio` picks the per-request solver arm: `auto` (feature-driven
 selection) or `fixed:ARM` (pin one arm). ARM is one of lptrev,
-multifit, exact, ptas; the ptas arm's tables follow `--repr`, so
-`--repr dense --portfolio fixed:ptas` pins the dense PTAS. A picked
-arm that fails falls back to the heuristic net (the better of lptrev
-and multifit, or one of them when under 200 µs remain), flagged
-degraded. `--improve` on `serve`/`cluster` turns on the anytime
-improver: after the portfolio answers, leftover request deadline
-(capped at `--improve-budget-us`, default 2000) is spent refining the
-schedule by deterministic move/swap descent (`greedy`); the reply's
-makespan and assignment are the refined ones and its guarantee is
-tightened a-posteriori, never loosened. Every ok reply also carries
-`gap_ppm`, the achieved-vs-lower-bound gap in parts per million.
-`pcmax improve` runs the same pipeline once on an instance file (`-`
-reads stdin), seeding from the better of LPT-revisited and MULTIFIT,
-and prints a JSON report with the final assignment. `--engine improve`
+multifit, ptas; auto answers instances of at most 10 jobs or equal
+times with lptrev, certified optimal. The ptas arm descends its
+heuristic net by move/swap before it searches, and its tables follow
+`--repr`, so `--repr dense --portfolio fixed:ptas` pins the dense PTAS.
+A picked arm that fails falls back to the heuristic net (the better of
+lptrev and multifit, or one of them when under 200 µs remain), flagged
+degraded. Every ok reply carries `gap_ppm`, the achieved-vs-lower-bound
+gap in parts per million. `pcmax improve` runs the move/swap descent
+(`greedy`) once on an instance file (`-` reads stdin), seeding from the
+better of LPT-revisited and MULTIFIT, and prints a JSON report with the
+final assignment. `--engine improve`
 on `audit` restricts the sweep to the improver gauntlet (monotonicity,
 validity, a-posteriori guarantee, rerun determinism).
 `--engine warmsync` restricts it to the warm-replication gauntlet:
@@ -242,7 +259,7 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
                 inst.machines()
             );
         }
-        None => print!("{out}"),
+        None => emit(format_args!("{out}")),
     }
     Ok(())
 }
@@ -296,7 +313,7 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
         .with_strategy(strategy)
         .solve(&inst);
     let makespan = res.schedule.validate(&inst)?;
-    println!(
+    outln!(
         "makespan {makespan} (lower bound {}, target T* = {}, {} rounds, {} DP solves, {} cache hits)",
         lower_bound(&inst),
         res.target,
@@ -318,11 +335,11 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
                     )
                 })
                 .collect();
-            println!("  round {:>2} [{}, {}]: {}", i + 1, rec.lb, rec.ub, probes.join("; "));
+            outln!("  round {:>2} [{}, {}]: {}", i + 1, rec.lb, rec.ub, probes.join("; "));
         }
         let mut loads = res.schedule.loads(&inst);
         loads.sort_unstable();
-        println!("  loads: {loads:?}");
+        outln!("  loads: {loads:?}");
     }
     Ok(())
 }
@@ -351,9 +368,9 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     res.schedule.validate(&inst)?;
     let tree = pcmax::ptas::trace::solve_span(&res, total_us);
     if as_json {
-        println!("{}", tree.to_json());
+        outln!("{}", tree.to_json());
     } else {
-        print!("{}", tree.render());
+        emit(format_args!("{}", tree.render()));
     }
     Ok(())
 }
@@ -363,14 +380,14 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
     let path = words.first().ok_or("compare needs an instance file")?;
     let inst = load_instance(path)?;
     let lb = lower_bound(&inst);
-    println!(
+    outln!(
         "{} jobs on {} machines; lower bound {lb}",
         inst.num_jobs(),
         inst.machines()
     );
-    println!("{:<16} {:>9} {:>8}", "algorithm", "makespan", "vs LB");
+    outln!("{:<16} {:>9} {:>8}", "algorithm", "makespan", "vs LB");
     let report = |name: &str, ms: u64| {
-        println!("{name:<16} {ms:>9} {:>8.4}", ms as f64 / lb as f64);
+        outln!("{name:<16} {ms:>9} {:>8.4}", ms as f64 / lb as f64);
     };
     report("list", list_schedule(&inst).makespan(&inst));
     let lpt_s = lpt(&inst);
@@ -408,16 +425,16 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
     };
     let gpu = solve_gpu(&inst, &cfg);
     let omp = modeled_openmp_bisection(&inst, epsilon, 28);
-    println!("target T* = {} (both searches agree)", gpu.target);
-    println!(
+    outln!("target T* = {} (both searches agree)", gpu.target);
+    outln!(
         "GPU quarter split (DIM{dim}): {:>3} rounds, {:>12.3} modeled ms",
         gpu.iterations, gpu.modeled_ms
     );
-    println!(
+    outln!(
         "OpenMP-28 bisection        : {:>3} iterations, {:>12.3} modeled ms",
         omp.iterations, omp.modeled_ms
     );
-    println!(
+    outln!(
         "largest DP table σ = {}; GPU speedup {:.2}x",
         gpu.max_table_size.max(omp.max_table_size),
         omp.modeled_ms / gpu.modeled_ms
@@ -478,8 +495,6 @@ const SERVE_FLAGS: &[&str] = &[
     "--max-cells",
     "--store-dir",
     "--portfolio",
-    "--improve",
-    "--improve-budget-us",
 ];
 
 fn serve_config_from_flags(args: &[String]) -> Result<pcmax::ServeConfig, String> {
@@ -508,15 +523,6 @@ fn serve_config_from_flags(args: &[String]) -> Result<pcmax::ServeConfig, String
         portfolio: flag(args, "--portfolio")
             .unwrap_or("auto")
             .parse::<pcmax::PortfolioPolicy>()?,
-        improve: flag(args, "--improve")
-            .map(str::parse::<pcmax::ImproveMode>)
-            .transpose()?
-            .unwrap_or(defaults.improve),
-        improve_budget: Duration::from_micros(flag_parse(
-            args,
-            "--improve-budget-us",
-            defaults.improve_budget.as_micros() as u64,
-        )?),
         ..defaults
     })
 }
@@ -544,8 +550,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 /// One-shot anytime improvement: read an instance (FILE, or `-` for
 /// stdin), seed with the better of LPT-revisited and MULTIFIT, spend
 /// the budget improving it, and print a JSON report carrying the final
-/// assignment. The same `--improve` / `--improve-budget-us` knobs as
-/// `serve`, defaulting to `greedy`.
+/// assignment. `--improve` defaults to `greedy`.
 fn cmd_improve(args: &[String]) -> Result<(), String> {
     let words = positionals(args, &["--improve", "--improve-budget-us"], &[])?;
     let path = words
@@ -608,7 +613,7 @@ fn cmd_improve(args: &[String]) -> Result<(), String> {
                 .join(","),
         )
         .end_object();
-    println!("{}", w.finish());
+    outln!("{}", w.finish());
     Ok(())
 }
 
@@ -706,7 +711,7 @@ fn cmd_audit(args: &[String]) -> Result<(), String> {
             fs::write(path, format!("{json}\n")).map_err(|e| format!("writing {path}: {e}"))?;
             eprintln!("wrote {path}");
         }
-        None => println!("{json}"),
+        None => outln!("{json}"),
     }
     eprintln!(
         "audit: {} cases, {} checks, {} divergences in {:.2?}",

@@ -1,7 +1,7 @@
 //! End-to-end tests of the `pcmax` CLI binary.
 
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Child, Command, Output, Stdio};
 
 fn pcmax() -> Command {
     Command::new(env!("CARGO_BIN_EXE_pcmax"))
@@ -142,14 +142,18 @@ fn simulate_traces_the_largest_table_at_the_requested_epsilon() {
 
 /// Runs `cmd` to completion, failing the test if it is still running
 /// after `secs` seconds.
-fn output_within(cmd: &mut Command, secs: u64) -> std::process::Output {
-    use std::process::Stdio;
-    use std::time::{Duration, Instant};
-    let mut child = cmd
+fn output_within(cmd: &mut Command, secs: u64) -> Output {
+    let child = cmd
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
         .expect("spawn");
+    wait_within(child, secs, cmd)
+}
+
+/// Waits for `child`, spawned from `cmd`, as [`output_within`] does.
+fn wait_within(mut child: Child, secs: u64, cmd: &Command) -> Output {
+    use std::time::{Duration, Instant};
     let deadline = Instant::now() + Duration::from_secs(secs);
     while child.try_wait().expect("wait").is_none() {
         if Instant::now() >= deadline {
@@ -159,6 +163,23 @@ fn output_within(cmd: &mut Command, secs: u64) -> std::process::Output {
         std::thread::sleep(Duration::from_millis(20));
     }
     child.wait_with_output().expect("output")
+}
+
+#[test]
+fn a_reader_that_closes_early_ends_the_command_cleanly() {
+    let inst = temp_path("pipe.inst");
+    std::fs::write(&inst, "3\n12 7 9 14 5 8 11 6 10 13\n").expect("write");
+    for args in [["solve", "--verbose"], ["trace", "--json"]] {
+        let mut cmd = pcmax();
+        cmd.args(args).arg(&inst).stdout(Stdio::piped()).stderr(Stdio::piped());
+        let mut child = cmd.spawn().expect("spawn");
+        // Close the read end before the command writes its first line.
+        drop(child.stdout.take());
+        let out = wait_within(child, 60, &cmd);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "`{args:?}`: {stderr}");
+        assert!(out.status.success(), "`{args:?}`: {stderr}");
+    }
 }
 
 #[test]
@@ -268,11 +289,13 @@ fn bad_inputs_fail_cleanly() {
     // flag, and flags of removed knobs on the commands that would
     // otherwise bind a port and serve forever.
     let eps_typo = [&inst.to_string_lossy(), "--epsilonn", "0.01"];
-    let cases: [(&str, &[&str], &str); 4] = [
+    let cases: [(&str, &[&str], &str); 6] = [
         ("solve", &eps_typo, "--epsilonn"),
         ("serve", &["--warmsync", "off"], "--warmsync"),
         ("cluster", &["--warmsync", "off"], "--warmsync"),
         ("audit", &["--bogus", "3"], "--bogus"),
+        ("serve", &["--improve", "greedy"], "--improve"),
+        ("cluster", &["--improve-budget-us", "5"], "--improve-budget-us"),
     ];
     for (cmd, flags, bad) in cases {
         let out = output_within(pcmax().arg(cmd).args(flags), 60);
@@ -280,6 +303,11 @@ fn bad_inputs_fail_cleanly() {
         assert!(!out.status.success(), "`{cmd} {flags:?}` must fail");
         assert!(stderr.contains(&format!("error: unknown flag {bad}")), "{stderr}");
     }
+
+    // The portfolio has no exact arm (lptrev solves tiny instances).
+    let out = output_within(pcmax().args(["serve", "--portfolio", "fixed:exact"]), 60);
+    assert!(!out.status.success(), "`serve --portfolio fixed:exact` must fail");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown arm"));
 
     // The removed benchmark commands are unknown.
     for cmd in ["bench-cluster", "bench-sparse", "store-stats"] {
